@@ -70,7 +70,7 @@ def test_log_channel_overhead():
     assert events_total > 0, "the seeded logbook must carry events"
 
     # Warm-up pass so neither arm pays one-time import/allocation costs.
-    detect_fleet(dataset, config=config, jobs=0, logbook=books)
+    detect_fleet(dataset, config=config, logbook=books)
 
     bare_seconds = []
     fused_seconds = []
@@ -78,14 +78,12 @@ def test_log_channel_overhead():
     reference = None
     for repeat in range(REPEATS):
         started = time.perf_counter()
-        bare = detect_fleet(dataset, config=config, jobs=0)
+        bare = detect_fleet(dataset, config=config)
         bare_seconds.append(time.perf_counter() - started)
 
         with obs.scoped() as registry:
             started = time.perf_counter()
-            fused = detect_fleet(
-                dataset, config=config, jobs=0, logbook=books
-            )
+            fused = detect_fleet(dataset, config=config, logbook=books)
             total = time.perf_counter() - started
             channel_seconds = registry.histogram("logs.channel_seconds").sum
             events_ingested = registry.counter("logs.events_ingested").value

@@ -36,7 +36,7 @@ from repro.datasets import Dataset, build_unit_series
 from repro.eval.tables import render_table
 from repro.obs import runtime as obs
 from repro.presets import default_config
-from repro.service import detect_fleet
+from repro.service import ServiceConfig, detect_fleet
 
 from _shared import BENCH_TICKS, BENCH_UNITS, record_bench_result
 
@@ -68,7 +68,7 @@ def test_persist_write_overhead(tmp_path):
     config = default_config()
 
     # Warm-up pass so neither arm pays one-time import/allocation costs.
-    detect_fleet(dataset, config=config, jobs=0)
+    detect_fleet(dataset, config=config)
 
     bare_seconds = []
     persisted_seconds = []
@@ -76,15 +76,17 @@ def test_persist_write_overhead(tmp_path):
     reference = None
     for repeat in range(REPEATS):
         started = time.perf_counter()
-        bare = detect_fleet(dataset, config=config, jobs=0)
+        bare = detect_fleet(dataset, config=config)
         bare_seconds.append(time.perf_counter() - started)
 
         state_dir = str(tmp_path / f"state-{repeat}")
         with obs.scoped() as registry:
             started = time.perf_counter()
             persisted = detect_fleet(
-                dataset, config=config, jobs=0,
-                state_dir=state_dir, snapshot_every=SNAPSHOT_EVERY,
+                dataset, config=config,
+                service_config=ServiceConfig(
+                    state_dir=state_dir, snapshot_every=SNAPSHOT_EVERY
+                ),
             )
             total = time.perf_counter() - started
             write_seconds = registry.histogram("persist.write_seconds").sum

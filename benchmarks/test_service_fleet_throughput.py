@@ -31,6 +31,7 @@ floor), ``REPRO_BENCH_FLEET_TICKS`` (default 400),
 
 import os
 import time
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -80,7 +81,9 @@ def test_fleet_parity_parallel_vs_serial_process():
     """4-worker fleet verdicts are bit-identical to the serial library path."""
     dataset = fleet_dataset()
     config = default_config()
-    report = detect_fleet(dataset, config=config, jobs=WORKERS)
+    report = detect_fleet(
+        dataset, config=config, service_config=ServiceConfig(n_workers=WORKERS)
+    )
     assert report.worker_restarts == 0
     assert report.ticks_lost == 0
     assert report.ticks_dropped == 0
@@ -99,9 +102,7 @@ def test_fleet_throughput_scaling():
     service_config = ServiceConfig(batch_ticks=64, queue_capacity=256)
 
     started = time.perf_counter()
-    serial = detect_fleet(
-        dataset, config=config, jobs=0, service_config=service_config
-    )
+    serial = detect_fleet(dataset, config=config, service_config=service_config)
     serial_seconds = time.perf_counter() - started
 
     # Parity and the parallel wall-clock are measured on every host; only
@@ -109,7 +110,8 @@ def test_fleet_throughput_scaling():
     cores = os.cpu_count() or 1
     started = time.perf_counter()
     parallel = detect_fleet(
-        dataset, config=config, jobs=WORKERS, service_config=service_config
+        dataset, config=config,
+        service_config=replace(service_config, n_workers=WORKERS),
     )
     parallel_seconds = time.perf_counter() - started
     assert parallel.results == serial.results
@@ -196,12 +198,11 @@ def scaleout_dataset() -> Dataset:
 
 def _timed_run(dataset, jobs: int, transport: str):
     service_config = ServiceConfig(
-        batch_ticks=32, queue_capacity=128, transport=transport
+        n_workers=jobs, batch_ticks=32, queue_capacity=128, transport=transport
     )
     started = time.perf_counter()
     report = detect_fleet(
-        dataset, config=SCALEOUT_CONFIG, jobs=jobs,
-        service_config=service_config,
+        dataset, config=SCALEOUT_CONFIG, service_config=service_config
     )
     return report, time.perf_counter() - started
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import __version__
 from repro.cluster.kpis import KPI_REGISTRY
@@ -68,7 +68,67 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
                         help="KCD compute engine (DBCatcherConfig.backend)")
 
 
+def _service_flags() -> Dict[str, Tuple[str, dict]]:
+    """Service flags shared by detect / serve / chaos, each declared once.
+
+    Maps a flag to the :class:`~repro.service.config.ServiceConfig`
+    field it sets and its argparse keywords; every flag stores into that
+    field and defaults to the field's default.
+    """
+    from repro.service.config import TRANSPORTS, ServiceConfig
+
+    flags: Dict[str, Tuple[str, dict]] = {
+        "--jobs": ("n_workers", dict(
+            type=int, metavar="N",
+            help="worker processes (0 = serial in-process; verdicts are "
+                 "identical either way)",
+        )),
+        "--transport": ("transport", dict(
+            choices=TRANSPORTS,
+            help="how tick blocks reach the workers: pickled pipe messages "
+                 "or shared-memory rings (verdicts are identical either way)",
+        )),
+        "--state-dir": ("state_dir", dict(
+            metavar="DIR",
+            help="durable-state directory (snapshots + WAL); rerunning with "
+                 "the same directory resumes warm from the last durable round",
+        )),
+        "--snapshot-every": ("snapshot_every", dict(
+            type=int, metavar="ROUNDS",
+            help="completed rounds per unit between snapshots "
+                 "(with --state-dir)",
+        )),
+    }
+    defaults = ServiceConfig()
+    for field, kwargs in flags.values():
+        kwargs.update(dest=field, default=getattr(defaults, field))
+    return flags
+
+
+def _add_service_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Opt a subcommand into some of the shared service flags."""
+    specs = _service_flags()
+    for flag in flags:
+        parser.add_argument(flag, **specs[flag][1])
+
+
+def _service_config(args, **fields):
+    """The ServiceConfig a subcommand's shared service flags describe.
+
+    ``fields`` adds settings the subcommand declares itself.
+    """
+    from repro.service.config import ServiceConfig
+
+    for field, _ in _service_flags().values():
+        if hasattr(args, field):
+            fields[field] = getattr(args, field)
+    return ServiceConfig(**fields)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.service.config import ServiceConfig
+
+    service_defaults = ServiceConfig()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DBCatcher reproduction: simulate, detect, inspect.",
@@ -102,29 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha", type=float, default=None,
         help="uniform correlation threshold (default: paper mid-range)",
     )
-    detect.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the fleet scheduler (1 = serial; "
-             "verdicts are identical either way)",
-    )
-    detect.add_argument(
-        "--transport", choices=("pickle", "shm"), default="pickle",
-        help="how tick blocks reach the workers: pickled pipe messages "
-             "or shared-memory rings (verdicts are identical either way)",
+    _add_service_flags(
+        detect, "--jobs", "--transport", "--state-dir", "--snapshot-every"
     )
     detect.add_argument(
         "--quiet", action="store_true",
         help="print only the summary scores, not per-round verdicts",
-    )
-    detect.add_argument(
-        "--state-dir", default=None, metavar="DIR",
-        help="durable-state directory (snapshots + WAL); rerunning with "
-             "the same directory resumes an interrupted pass mid-stream",
-    )
-    detect.add_argument(
-        "--snapshot-every", type=int, default=8, metavar="ROUNDS",
-        help="completed rounds per unit between snapshots "
-             "(with --state-dir; default 8)",
     )
 
     serve = commands.add_parser(
@@ -148,18 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--ticks", type=int, default=400,
                        help="ticks per unit for --live")
     serve.add_argument("--seed", type=int, default=0, help="seed for --live")
-    serve.add_argument("--jobs", type=int, default=0,
-                       help="worker processes (0 = serial in-process)")
-    serve.add_argument("--transport", choices=("pickle", "shm"),
-                       default="pickle",
-                       help="worker tick transport: pickled pipe messages "
-                            "or shared-memory rings")
-    serve.add_argument("--batch-ticks", type=int, default=32,
+    _add_service_flags(
+        serve, "--jobs", "--transport", "--state-dir", "--snapshot-every"
+    )
+    serve.add_argument("--batch-ticks", type=int,
+                       default=service_defaults.batch_ticks,
                        help="ticks buffered per unit per worker round-trip")
-    serve.add_argument("--queue-capacity", type=int, default=256,
+    serve.add_argument("--queue-capacity", type=int,
+                       default=service_defaults.queue_capacity,
                        help="per-unit ingest queue bound, in ticks")
     serve.add_argument("--backpressure", choices=("block", "drop-oldest"),
-                       default="block",
+                       default=service_defaults.backpressure.replace("_", "-"),
                        help="what a full ingest queue does to the producer")
     serve.add_argument("--sink", action="append", default=None,
                        metavar="SPEC",
@@ -176,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(error-burst, replication-lag, noisy-neighbor) "
                             "instead of a dataset; implies --log-ensemble")
     _add_detector_flags(serve)
-    serve.add_argument("--history-limit", type=int, default=None,
+    serve.add_argument("--history-limit", type=int,
+                       default=service_defaults.history_limit,
                        metavar="ROUNDS",
                        help="completed rounds each worker detector retains "
                             "(default: the service's bounded-memory default)")
@@ -194,27 +237,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON topology file for incident correlation "
                             "({\"groups\": {label: [unit, ...]}}); default "
                             "one all-units group")
-    serve.add_argument("--state-dir", default=None, metavar="DIR",
-                       help="durable-state directory (snapshots + WAL); "
-                            "restarting with the same directory resumes "
-                            "warm from the last durable round")
-    serve.add_argument("--snapshot-every", type=int, default=8,
-                       metavar="ROUNDS",
-                       help="completed rounds per unit between snapshots "
-                            "(with --state-dir; default 8)")
     serve.add_argument("--wal-sync", choices=("commit", "snapshot"),
-                       default="snapshot",
+                       default=service_defaults.wal_sync,
                        help="WAL fsync discipline: every group-commit, or "
                             "deferred to snapshot boundaries (default)")
     serve.add_argument("--ingest-port", type=int, default=None, metavar="PORT",
                        help="accept ticks from external collectors over HTTP "
                             "on this port instead of a dataset/--live feed "
                             "(0 = any free port)")
-    serve.add_argument("--ingest-capacity", type=int, default=None,
+    serve.add_argument("--ingest-capacity", type=int,
+                       default=service_defaults.ingest_capacity,
                        metavar="TICKS",
                        help="network ingest queue bound before 429 "
                             "backpressure (default: the service default)")
-    serve.add_argument("--ingest-max-batch", type=int, default=None,
+    serve.add_argument("--ingest-max-batch", type=int,
+                       default=service_defaults.ingest_max_batch,
                        metavar="TICKS",
                        help="most ticks one POST /v1/ticks may carry "
                             "(default: the service default)")
@@ -275,13 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true",
         help="list the preset scenarios and exit",
     )
-    chaos.add_argument("--jobs", type=int, default=0,
-                       help="worker processes (0 = serial; kill drills only "
-                            "fell real processes when > 0)")
-    chaos.add_argument("--transport", choices=("pickle", "shm"),
-                       default="pickle",
-                       help="worker tick transport: pickled pipe messages "
-                            "or shared-memory rings")
+    _add_service_flags(chaos, "--jobs", "--transport")
     chaos.add_argument("--max-ticks", type=int, default=None,
                        help="stop after this many ticks per unit")
     _add_detector_flags(chaos)
@@ -373,9 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="generations between snapshots (with --checkpoint)")
     tune.add_argument("--resume", action="store_true",
                       help="continue the run saved at --checkpoint")
-    tune.add_argument("--no-vectorize", action="store_true",
-                      help="use the per-genome detector-replay objective "
-                           "instead of the vectorized one (debugging aid)")
 
     commands.add_parser("info", help="show the KPI registry and defaults")
     return parser
@@ -420,13 +448,9 @@ def _cmd_detect(args) -> int:
     from repro.service import detect_fleet
 
     dataset = load_dataset(args.dataset)
-    config = _detect_config(args)
-    from repro.service import ServiceConfig
-
     report = detect_fleet(
-        dataset, config=config, jobs=args.jobs,
-        service_config=ServiceConfig(transport=args.transport),
-        state_dir=args.state_dir, snapshot_every=args.snapshot_every,
+        dataset, config=_detect_config(args),
+        service_config=_service_config(args),
     )
     counts = None
     for unit in dataset.units:
@@ -485,7 +509,7 @@ def _cmd_serve(args) -> int:
 
     from repro.obs import ObsServer
     from repro.obs import runtime as obs
-    from repro.service import DetectionService, ServiceConfig
+    from repro.service import DetectionService
 
     source = _build_tick_source(args)
     if args.log_scenario is not None:
@@ -513,25 +537,17 @@ def _cmd_serve(args) -> int:
         print("serve needs a dataset path, --live, --log-scenario, or "
               "--ingest-port", file=sys.stderr)
         return 2
-    service_kwargs = dict(
-        n_workers=args.jobs,
+    service_config = _service_config(
+        args,
         batch_ticks=args.batch_ticks,
         queue_capacity=args.queue_capacity,
         backpressure=args.backpressure.replace("-", "_"),
-        transport=args.transport,
+        history_limit=args.history_limit,
+        wal_sync=args.wal_sync,
+        ingest_capacity=args.ingest_capacity,
+        ingest_max_batch=args.ingest_max_batch,
         log_ensemble=bool(args.log_ensemble or args.log_scenario),
     )
-    if args.history_limit is not None:
-        service_kwargs["history_limit"] = args.history_limit
-    if args.state_dir is not None:
-        service_kwargs["state_dir"] = args.state_dir
-        service_kwargs["snapshot_every"] = args.snapshot_every
-        service_kwargs["wal_sync"] = args.wal_sync
-    if args.ingest_capacity is not None:
-        service_kwargs["ingest_capacity"] = args.ingest_capacity
-    if args.ingest_max_batch is not None:
-        service_kwargs["ingest_max_batch"] = args.ingest_max_batch
-    service_config = ServiceConfig(**service_kwargs)
     observing = args.obs_port is not None or args.obs_snapshot is not None
     scope = obs.scoped() if observing else contextlib.nullcontext()
     with scope as registry:
@@ -562,7 +578,7 @@ def _cmd_serve(args) -> int:
                     source,
                     view=view,
                     port=args.ingest_port,
-                    state_dir=args.state_dir,
+                    state_dir=service_config.state_dir,
                     max_batch=service_config.ingest_max_batch,
                 )
                 print(f"ingestion endpoint: {ingest_server.url}/v1 "
@@ -605,7 +621,8 @@ def _cmd_serve(args) -> int:
     # so average the per-tick point load over the fleet.
     mean_databases = sum(source.units.values()) / len(source.units)
     points = report.ticks_ingested * len(source.kpi_names) * mean_databases
-    mode = f"{args.jobs} workers" if args.jobs > 0 else "serial"
+    n_workers = service_config.n_workers
+    mode = f"{n_workers} workers" if n_workers > 0 else "serial"
     print(f"\nserved {len(source.units)} units ({mode}): "
           f"{report.ticks_ingested:,} ticks in {report.elapsed_seconds:.2f}s, "
           f"{report.rounds_completed} rounds, "
@@ -680,7 +697,6 @@ def _cmd_chaos(args) -> int:
     from pathlib import Path
 
     from repro.chaos import PRESETS, load_scenario, preset_scenario, run_scenario
-    from repro.service import ServiceConfig
 
     if args.list:
         for name in sorted(PRESETS):
@@ -698,9 +714,7 @@ def _cmd_chaos(args) -> int:
         args.dataset,
         scenario=scenario,
         config=_detect_config(args),
-        service_config=ServiceConfig(
-            n_workers=args.jobs, transport=args.transport
-        ),
+        service_config=_service_config(args),
         max_ticks=args.max_ticks,
     )
     print(report.render())
@@ -834,16 +848,13 @@ def _cmd_tune(args) -> int:
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
-        vectorize=not args.no_vectorize,
     )
     started = time.perf_counter()
     tuned = learner(config, values, labels)
     elapsed = time.perf_counter() - started
     trace = learner.last_trace
-    objective = "replay" if args.no_vectorize else "vectorized"
     mode = f"{args.jobs} jobs" if args.jobs > 1 else "serial"
-    print(f"tuned over {len(dataset.units)} units "
-          f"({objective} objective, {mode}): "
+    print(f"tuned over {len(dataset.units)} units ({mode}): "
           f"best F-Measure {trace.final:.3f} "
           f"after {len(trace.best_fitness)} generations in {elapsed:.2f}s")
     print(f"  alphas: {' '.join(f'{a:.3f}' for a in tuned.alphas)}")

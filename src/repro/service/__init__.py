@@ -60,7 +60,6 @@ from repro.service.scheduler import DetectionService, ServiceReport, detect_flee
 from repro.service.sharding import RING_SEED, RING_VERSION, HashRing, assign_units
 from repro.service.sources import (
     MonitorSource,
-    MonitorStreamSource,
     ReplaySource,
     RetryingSource,
     TickEvent,
@@ -100,7 +99,6 @@ __all__ = [
     "MemorySink",
     "MetricsRegistry",
     "MonitorSource",
-    "MonitorStreamSource",
     "NetworkSource",
     "PickleTickTransport",
     "ProcessWorkerPool",

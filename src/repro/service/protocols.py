@@ -18,7 +18,6 @@ Both protocols are :func:`~typing.runtime_checkable`, so conformance is
 an ``isinstance`` check — which is exactly what the protocol tests do
 for every shipped source (:class:`~repro.service.sources.ReplaySource`,
 :class:`~repro.service.sources.MonitorSource`,
-:class:`~repro.service.sources.MonitorStreamSource`,
 :class:`~repro.service.sources.RetryingSource`,
 :class:`~repro.chaos.source.ChaosSource`,
 :class:`~repro.service.api.NetworkSource`) and transport.  Sources may

@@ -8,9 +8,9 @@ screened concurrently, results surfacing as alerts while operational
 counters and latency histograms accumulate in the metrics registry.
 
 :func:`detect_fleet` is the offline convenience over the same machinery:
-shard a saved dataset across ``jobs`` workers and get back per-unit
-verdicts bit-identical to running ``DBCatcher.process`` on each unit
-serially.
+shard a saved dataset across ``ServiceConfig.n_workers`` workers and get
+back per-unit verdicts bit-identical to running ``DBCatcher.process`` on
+each unit serially.
 """
 
 from __future__ import annotations
@@ -627,17 +627,13 @@ class DetectionService:
 def detect_fleet(
     dataset,
     config: Optional[ConfigLike] = None,
-    jobs: int = 0,
     service_config: Optional[ServiceConfig] = None,
     sinks: Sequence[Union[str, AlertSink, Callable[[Alert], None]]] = ("null",),
     metrics: Optional[MetricsRegistry] = None,
     max_ticks: Optional[int] = None,
     rca: bool = False,
     topology: Optional["Topology"] = None,
-    state_dir: Optional[str] = None,
-    snapshot_every: Optional[int] = None,
     logbook: Optional[Dict[str, "LogBook"]] = None,
-    log_ensemble: bool = False,
 ) -> ServiceReport:
     """Run the fleet scheduler over a saved dataset.
 
@@ -647,52 +643,33 @@ def detect_fleet(
         A :class:`~repro.datasets.containers.Dataset` or ``.npz`` path.
     config:
         Detector configuration; the cluster preset when omitted.
-    jobs:
-        Worker processes; ``0`` or ``1`` selects the serial in-process
-        path.  Results are identical either way — parallelism is purely a
-        throughput lever.
+    service_config:
+        Operational configuration — worker count, transport, durable
+        state, log ensemble; the serial in-process profile when omitted.
+        Results are identical for every ``n_workers`` — parallelism is
+        purely a throughput lever.
     rca:
         Enable attribution + incident correlation; the topology defaults
         to the dataset's workload-metadata groups when available.
-    state_dir:
-        Durable-state directory (snapshots + WAL); an interrupted run
-        restarted with the same directory resumes warm mid-stream.
-    snapshot_every:
-        Rounds per unit between snapshots; the config default when
-        omitted.
     logbook:
         Per-unit logbooks to replay alongside the KPI stream (implies
         ``log_ensemble``); see
         :func:`repro.logs.emitter.dataset_logbook`.
-    log_ensemble:
-        Fuse the log channel's verdicts with the correlation rounds
-        even without a logbook (the channel then sees a silent stream
-        and the run stays bit-identical to a plain one).
     """
     if config is None:
         from repro.presets import default_config
 
         config = default_config()
-    base = service_config if service_config is not None else ServiceConfig()
-    n_workers = 0 if jobs <= 1 else jobs
-    overrides: Dict[str, Any] = {}
-    if base.n_workers != n_workers:
-        overrides["n_workers"] = n_workers
-    if state_dir is not None:
-        overrides["state_dir"] = str(state_dir)
-    if snapshot_every is not None:
-        overrides["snapshot_every"] = int(snapshot_every)
-    if (log_ensemble or logbook is not None) and not base.log_ensemble:
-        overrides["log_ensemble"] = True
-    if overrides:
-        base = replace(base, **overrides)
+    service_config = service_config or ServiceConfig()
+    if logbook is not None and not service_config.log_ensemble:
+        service_config = replace(service_config, log_ensemble=True)
     if rca and topology is None and hasattr(dataset, "units"):
         from repro.rca.topology import Topology
 
         topology = Topology.from_dataset(dataset)
     service = DetectionService(
         config,
-        service_config=base,
+        service_config=service_config,
         sinks=sinks,
         metrics=metrics,
         rca=rca,

@@ -1,6 +1,6 @@
 """Tick sources feeding the ingestion bridge.
 
-Two ways monitoring ticks reach the service:
+Three ways monitoring ticks reach the service:
 
 * :class:`ReplaySource` — replays a saved labelled dataset (a ``.npz``
   archive from ``repro simulate`` or an in-memory
@@ -10,11 +10,9 @@ Two ways monitoring ticks reach the service:
 * :class:`MonitorSource` — drives live simulated units through the
   :meth:`~repro.cluster.monitor.BypassMonitor.stream` online collector,
   so ticks are *generated* as the service consumes them, exactly like the
-  paper's bypass monitoring pipeline feeding DBCatcher every 5 s.
-* :class:`MonitorStreamSource` — adapts one already-built
-  :class:`~repro.cluster.monitor.BypassMonitor` (its raw ``stream`` of
-  bare KPI matrices) into a single-unit tick source, for callers that
-  configured the monitor themselves — custom settings, fault injectors.
+  paper's bypass monitoring pipeline feeding DBCatcher every 5 s.  The
+  monitors come ready-built (custom settings, optional fault
+  injectors), or :meth:`MonitorSource.simulate` builds a healthy fleet.
 * :class:`RetryingSource` — resilience wrapper: rebuilds a failing source
   with exponential backoff and resumes where delivery stopped, so one
   transport hiccup costs a sequence gap instead of the whole run.
@@ -50,7 +48,6 @@ __all__ = [
     "TickEvent",
     "ReplaySource",
     "MonitorSource",
-    "MonitorStreamSource",
     "RetryingSource",
 ]
 
@@ -160,44 +157,38 @@ class MonitorSource:
 
     Parameters
     ----------
-    units:
-        Simulated :class:`~repro.cluster.unit.Unit` objects.
+    monitors:
+        Ready :class:`~repro.cluster.monitor.BypassMonitor`\\ s, one per
+        unit, configured however the caller likes (settings, seeds).
     demands:
         Per-unit request-mix sequences (one
         :class:`~repro.cluster.requests.RequestMix` per tick); all units
         run the same horizon, the shortest sequence bounds it.
-    settings:
-        Shared :class:`~repro.cluster.monitor.MonitorSettings`.
-    seed:
-        Base seed for the per-unit monitors (unit ``i`` gets ``seed + i``).
+    injectors:
+        Optional per-unit fault-injector sequences, forwarded to each
+        monitor's :meth:`~repro.cluster.monitor.BypassMonitor.stream`.
     """
 
     def __init__(
         self,
-        units: Sequence,
+        monitors: Sequence,
         demands: Sequence[Sequence],
-        settings=None,
-        seed: Optional[int] = None,
+        injectors: Optional[Sequence[Sequence]] = None,
     ):
-        from repro.cluster.monitor import BypassMonitor
-
-        if len(units) != len(demands):
-            raise ValueError("need one demand sequence per unit")
-        if not units:
-            raise ValueError("need at least one unit")
-        names = [unit.name for unit in units]
+        if len(monitors) != len(demands):
+            raise ValueError("need one demand sequence per monitor")
+        if not monitors:
+            raise ValueError("need at least one monitor")
+        if injectors is None:
+            injectors = [()] * len(monitors)
+        if len(injectors) != len(monitors):
+            raise ValueError("need one injector sequence per monitor")
+        names = [monitor.unit.name for monitor in monitors]
         if len(set(names)) != len(names):
             raise ValueError("unit names must be unique")
-        self._units = list(units)
+        self._monitors = list(monitors)
         self._demands = [list(d) for d in demands]
-        self._monitors = [
-            BypassMonitor(
-                unit,
-                settings=settings,
-                seed=None if seed is None else seed + index,
-            )
-            for index, unit in enumerate(units)
-        ]
+        self._injectors = [tuple(i) for i in injectors]
 
     @classmethod
     def simulate(
@@ -210,7 +201,11 @@ class MonitorSource:
         periodic: bool = False,
         settings=None,
     ) -> "MonitorSource":
-        """Build a fleet of healthy simulated units with fresh workloads."""
+        """Build a fleet of healthy simulated units with fresh workloads.
+
+        Unit ``i`` is monitored with seed ``seed + i``.
+        """
+        from repro.cluster.monitor import BypassMonitor
         from repro.cluster.unit import Unit
         from repro.workloads.sysbench import sysbench_irregular, sysbench_periodic
         from repro.workloads.tencent import TENCENT_SCENARIOS, tencent_workload
@@ -218,7 +213,7 @@ class MonitorSource:
 
         if n_units < 1:
             raise ValueError("n_units must be >= 1")
-        units, demands = [], []
+        monitors, demands = [], []
         for index in range(n_units):
             rng = np.random.default_rng(seed + 1000 * index)
             if family == "tencent":
@@ -238,19 +233,18 @@ class MonitorSource:
                     f"unknown workload family {family!r}; "
                     "choose tencent, sysbench or tpcc"
                 )
-            units.append(
-                Unit(f"unit-{index:03d}", n_databases=n_databases, seed=seed + index)
-            )
+            unit = Unit(f"unit-{index:03d}", n_databases=n_databases, seed=seed + index)
+            monitors.append(BypassMonitor(unit, settings=settings, seed=seed + index))
             demands.append(mixes)
-        return cls(units, demands, settings=settings, seed=seed)
+        return cls(monitors, demands)
 
     @property
     def units(self) -> Dict[str, int]:
-        return {unit.name: unit.n_databases for unit in self._units}
+        return {m.unit.name: m.unit.n_databases for m in self._monitors}
 
     @property
     def kpi_names(self) -> Tuple[str, ...]:
-        return tuple(self._units[0].kpi_names)
+        return tuple(self._monitors[0].unit.kpi_names)
 
     @property
     def interval_seconds(self) -> float:
@@ -258,57 +252,15 @@ class MonitorSource:
 
     def __iter__(self) -> Iterator[TickEvent]:
         streams: List[Iterator[np.ndarray]] = [
-            monitor.stream(demand)
-            for monitor, demand in zip(self._monitors, self._demands)
+            monitor.stream(demand, injectors=injectors)
+            for monitor, demand, injectors in zip(
+                self._monitors, self._demands, self._injectors
+            )
         ]
         horizon = min(len(d) for d in self._demands)
         for t in range(horizon):
-            for unit, stream in zip(self._units, streams):
-                yield TickEvent(unit=unit.name, seq=t, sample=next(stream))
-
-
-class MonitorStreamSource:
-    """Adapt one bypass monitor's raw stream to the tick-source contract.
-
-    :meth:`~repro.cluster.monitor.BypassMonitor.stream` yields bare
-    ``(n_databases, n_kpis)`` arrays; this wrapper stamps them with the
-    unit name and a gapless sequence number so a hand-configured monitor
-    (custom settings, fault injectors) plugs straight into
-    :meth:`~repro.service.scheduler.DetectionService.run` like any other
-    :class:`~repro.service.protocols.TickSource`.
-
-    Parameters
-    ----------
-    monitor:
-        A ready :class:`~repro.cluster.monitor.BypassMonitor`.
-    demands:
-        Request mixes to drive the unit with, one per tick.
-    injectors:
-        Optional fault injectors forwarded to the stream.
-    """
-
-    def __init__(self, monitor, demands: Sequence, injectors: Sequence = ()):
-        self._monitor = monitor
-        self._demands = list(demands)
-        self._injectors = tuple(injectors)
-
-    @property
-    def units(self) -> Dict[str, int]:
-        return {self._monitor.unit.name: self._monitor.unit.n_databases}
-
-    @property
-    def kpi_names(self) -> Tuple[str, ...]:
-        return tuple(self._monitor.unit.kpi_names)
-
-    @property
-    def interval_seconds(self) -> float:
-        return float(self._monitor.settings.interval_seconds)
-
-    def __iter__(self) -> Iterator[TickEvent]:
-        name = self._monitor.unit.name
-        stream = self._monitor.stream(self._demands, injectors=self._injectors)
-        for seq, sample in enumerate(stream):
-            yield TickEvent(unit=name, seq=seq, sample=sample)
+            for monitor, stream in zip(self._monitors, streams):
+                yield TickEvent(unit=monitor.unit.name, seq=t, sample=next(stream))
 
 
 class RetryingSource:

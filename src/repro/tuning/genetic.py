@@ -30,7 +30,7 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.pool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -38,13 +38,25 @@ from repro.core.config import DBCatcherConfig, LEARNING_RATE
 from repro.obs import runtime as obs
 from repro.tuning.checkpoint import TuningCheckpoint
 from repro.tuning.genome import ThresholdGenome
-from repro.tuning.objective import DetectionObjective
 from repro.tuning.vectorized import VectorizedObjective
 
 __all__ = ["GeneticThresholdLearner", "PopulationEvaluator", "SearchTrace"]
 
-#: Fitness callable for a single genome.
-Objective = Callable[[ThresholdGenome], float]
+
+class Objective(Protocol):
+    """Fitness callable for a single genome over a labelled replay window.
+
+    ``config`` is the incumbent the searches start from; both the
+    vectorized objective and the replay objective satisfy this.
+    """
+
+    @property
+    def config(self) -> DBCatcherConfig: ...
+
+    @property
+    def n_kpis(self) -> int: ...
+
+    def __call__(self, genome: ThresholdGenome) -> float: ...
 
 # Per-process objective installed by the pool initializer.  Workers are
 # forked (or receive the objective through initargs under spawn), so the
@@ -61,9 +73,7 @@ def _init_worker(objective: Objective) -> None:
 def _evaluate_chunk(genomes: Sequence[ThresholdGenome]) -> List[float]:
     objective = _WORKER_OBJECTIVE
     assert objective is not None, "worker pool initializer did not run"
-    if isinstance(objective, VectorizedObjective):
-        return [float(f) for f in objective.evaluate_population(list(genomes))]
-    return [float(objective(genome)) for genome in genomes]
+    return _run_objective(objective, list(genomes))
 
 
 def _genome_key(genome: ThresholdGenome) -> Tuple:
@@ -197,11 +207,6 @@ class GeneticThresholdLearner:
     resume:
         When true and ``checkpoint_path`` exists, continue that run
         instead of starting fresh.
-    vectorize:
-        Build a :class:`~repro.tuning.vectorized.VectorizedObjective`
-        (one batched-engine pass per replay window, population-at-a-time
-        thresholding) instead of the per-genome replay objective when
-        the learner is called with raw ``(config, values, labels)``.
 
     The instance is callable with the :data:`repro.core.feedback`
     ``ThresholdLearner`` signature, so it can be handed directly to
@@ -222,7 +227,6 @@ class GeneticThresholdLearner:
         checkpoint_path: Optional[str] = None,
         checkpoint_every: int = 1,
         resume: bool = False,
-        vectorize: bool = True,
     ):
         if population_size < 2:
             raise ValueError("population_size must be >= 2")
@@ -245,7 +249,6 @@ class GeneticThresholdLearner:
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.resume = resume
-        self.vectorize = vectorize
         self._seed = seed
         self.last_trace: Optional[SearchTrace] = None
 
@@ -256,12 +259,7 @@ class GeneticThresholdLearner:
         labels: np.ndarray,
     ) -> DBCatcherConfig:
         """Learn thresholds over a replay window; return the tuned config."""
-        objective: Objective
-        if self.vectorize:
-            objective = VectorizedObjective(config, values, labels)
-        else:
-            objective = DetectionObjective(config, values, labels)
-        genome, _ = self.search(objective)
+        genome, _ = self.search(VectorizedObjective(config, values, labels))
         return genome.apply_to(config)
 
     def search(self, objective: Objective) -> Tuple[ThresholdGenome, float]:
@@ -283,18 +281,13 @@ class GeneticThresholdLearner:
             start_generation = state.generation
         else:
             rng = np.random.default_rng(self._seed)
-            config = getattr(objective, "config", None)
-            n_kpis = getattr(objective, "n_kpis", None)
-            if n_kpis is None:
-                n_kpis = config.n_kpis
             population = [
-                ThresholdGenome.random(n_kpis, rng)
+                ThresholdGenome.random(objective.n_kpis, rng)
                 for _ in range(self.population_size)
             ]
             # Seed the current thresholds into the initial population so
             # learning can never do worse than the incumbent configuration.
-            if config is not None:
-                population[0] = ThresholdGenome.from_config(config)
+            population[0] = ThresholdGenome.from_config(objective.config)
             best_genome = population[0]
             best_fitness = evaluate([best_genome])[0]
             trace = []

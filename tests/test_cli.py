@@ -153,3 +153,68 @@ class TestDetectJobs:
         out = capsys.readouterr().out
         assert "service defaults:" in out
         assert "backpressure=block" in out
+
+
+class _Stop(Exception):
+    """Raised by the stand-in service entry points once they saw a config."""
+
+
+class TestServiceFlags:
+    """detect / serve / chaos share one declaration of the service flags."""
+
+    SHARED = ["--jobs", "3", "--transport", "shm"]
+    DURABLE = ["--state-dir", "state", "--snapshot-every", "5"]
+
+    @pytest.fixture(scope="class")
+    def archive(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("flags") / "fleet.npz"
+        main([
+            "simulate", str(path),
+            "--family", "sysbench", "--units", "2", "--ticks", "60",
+        ])
+        return path
+
+    @staticmethod
+    def _service_config(monkeypatch, argv):
+        """The ServiceConfig a subcommand hands to the service layer."""
+        import repro.chaos
+        import repro.service
+
+        seen = []
+
+        def capture(*args, service_config=None, **kwargs):
+            seen.append(service_config)
+            raise _Stop
+
+        monkeypatch.setattr(repro.service, "detect_fleet", capture)
+        monkeypatch.setattr(repro.service, "DetectionService", capture)
+        monkeypatch.setattr(repro.chaos, "run_scenario", capture)
+        with pytest.raises(_Stop):
+            main(argv)
+        return seen[0]
+
+    def test_same_flags_build_equal_configs(self, archive, monkeypatch):
+        from repro.service import ServiceConfig
+
+        flags = self.SHARED + self.DURABLE
+        detect = self._service_config(monkeypatch, ["detect", str(archive)] + flags)
+        serve = self._service_config(monkeypatch, ["serve", str(archive)] + flags)
+        chaos = self._service_config(
+            monkeypatch, ["chaos", str(archive)] + self.SHARED
+        )
+        assert detect == serve == ServiceConfig(
+            n_workers=3, transport="shm", state_dir="state", snapshot_every=5
+        )
+        assert chaos == ServiceConfig(n_workers=3, transport="shm")
+
+    @pytest.mark.parametrize("command", ["detect", "serve", "chaos"])
+    def test_defaults_come_from_service_config(self, archive, monkeypatch, command):
+        from repro.service import ServiceConfig
+
+        built = self._service_config(monkeypatch, [command, str(archive)])
+        assert built == ServiceConfig()
+
+    def test_chaos_declares_no_state_flags(self, archive, capsys):
+        with pytest.raises(SystemExit):
+            main(["chaos", str(archive), "--state-dir", "state"])
+        capsys.readouterr()

@@ -11,6 +11,7 @@ both sides still have them.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,10 @@ def _assert_equivalent(reference, recovered):
     ]
 
 
+def _durable(tmp_path):
+    return ServiceConfig(state_dir=str(tmp_path / "state"), snapshot_every=3)
+
+
 class TestGoldenEquivalence:
     @pytest.mark.parametrize(
         "jobs,transport", [(0, "pickle"), (2, "pickle"), (2, "shm")]
@@ -89,35 +94,30 @@ class TestGoldenEquivalence:
     def test_killed_run_resumes_identically(
         self, fleet, tmp_path, jobs, transport, kill_tick
     ):
-        service_config = ServiceConfig(transport=transport)
+        service_config = ServiceConfig(n_workers=jobs, transport=transport)
         reference = detect_fleet(
-            fleet, config=CONFIG, jobs=jobs, service_config=service_config
+            fleet, config=CONFIG, service_config=service_config
         )
-        state_dir = str(tmp_path / "state")
+        durable = replace(
+            service_config, state_dir=str(tmp_path / "state"), snapshot_every=3
+        )
         interrupted = detect_fleet(
-            fleet, config=CONFIG, jobs=jobs, max_ticks=kill_tick,
-            service_config=service_config,
-            state_dir=state_dir, snapshot_every=3,
+            fleet, config=CONFIG, max_ticks=kill_tick, service_config=durable
         )
         assert interrupted.snapshots_written > 0
-        resumed = detect_fleet(
-            fleet, config=CONFIG, jobs=jobs, service_config=service_config,
-            state_dir=state_dir, snapshot_every=3,
-        )
+        resumed = detect_fleet(fleet, config=CONFIG, service_config=durable)
         assert resumed.recovered_rounds > 0
         _assert_equivalent(reference, resumed)
 
     def test_rca_incident_history_survives(self, fleet, tmp_path):
-        reference = detect_fleet(fleet, config=CONFIG, jobs=0, rca=True)
+        reference = detect_fleet(fleet, config=CONFIG, rca=True)
         assert any(a.attribution is not None for a in reference.alerts)
-        state_dir = str(tmp_path / "state")
+        durable = _durable(tmp_path)
         detect_fleet(
-            fleet, config=CONFIG, jobs=0, rca=True, max_ticks=120,
-            state_dir=state_dir, snapshot_every=3,
+            fleet, config=CONFIG, rca=True, max_ticks=120, service_config=durable
         )
         resumed = detect_fleet(
-            fleet, config=CONFIG, jobs=0, rca=True,
-            state_dir=state_dir, snapshot_every=3,
+            fleet, config=CONFIG, rca=True, service_config=durable
         )
         _assert_equivalent(reference, resumed)
         assert [i.incident_id for i in resumed.incidents] == [
@@ -125,25 +125,22 @@ class TestGoldenEquivalence:
         ]
 
     def test_double_interruption(self, fleet, tmp_path):
-        reference = detect_fleet(fleet, config=CONFIG, jobs=0)
-        state_dir = str(tmp_path / "state")
-        detect_fleet(fleet, config=CONFIG, jobs=0, max_ticks=70,
-                     state_dir=state_dir, snapshot_every=3)
-        detect_fleet(fleet, config=CONFIG, jobs=0, max_ticks=150,
-                     state_dir=state_dir, snapshot_every=3)
-        resumed = detect_fleet(fleet, config=CONFIG, jobs=0,
-                               state_dir=state_dir, snapshot_every=3)
+        reference = detect_fleet(fleet, config=CONFIG)
+        durable = _durable(tmp_path)
+        detect_fleet(fleet, config=CONFIG, max_ticks=70, service_config=durable)
+        detect_fleet(fleet, config=CONFIG, max_ticks=150, service_config=durable)
+        resumed = detect_fleet(fleet, config=CONFIG, service_config=durable)
         _assert_equivalent(reference, resumed)
 
     def test_cross_pool_recovery(self, fleet, tmp_path):
         # Killed as a serial run, restarted onto the process pool: the
         # state is pool-agnostic, so shards pick it up unchanged.
-        reference = detect_fleet(fleet, config=CONFIG, jobs=0)
-        state_dir = str(tmp_path / "state")
-        detect_fleet(fleet, config=CONFIG, jobs=0, max_ticks=97,
-                     state_dir=state_dir, snapshot_every=3)
-        resumed = detect_fleet(fleet, config=CONFIG, jobs=2,
-                               state_dir=state_dir, snapshot_every=3)
+        reference = detect_fleet(fleet, config=CONFIG)
+        durable = _durable(tmp_path)
+        detect_fleet(fleet, config=CONFIG, max_ticks=97, service_config=durable)
+        resumed = detect_fleet(
+            fleet, config=CONFIG, service_config=replace(durable, n_workers=2)
+        )
         _assert_equivalent(reference, resumed)
 
 
@@ -152,19 +149,20 @@ class TestDegradedState:
         # A crash can beat the first snapshot: only WAL segments exist.
         # Recovery then rebuilds the detector by replaying the WAL from
         # round zero.
-        reference = detect_fleet(fleet, config=CONFIG, jobs=0)
+        reference = detect_fleet(fleet, config=CONFIG)
         state_dir = str(tmp_path / "state")
         store = FleetStateStore(state_dir, snapshot_every=8)
         for unit, rounds in reference.results.items():
             store.unit_store(unit).append_rounds(rounds[:4])
         store.close()
-        resumed = detect_fleet(fleet, config=CONFIG, jobs=0,
-                               state_dir=state_dir)
+        resumed = detect_fleet(
+            fleet, config=CONFIG, service_config=ServiceConfig(state_dir=state_dir)
+        )
         assert resumed.recovered_rounds == 4 * len(reference.results)
         _assert_equivalent(reference, resumed)
 
     def test_torn_wal_tail_recovers_the_rest_live(self, fleet, tmp_path):
-        reference = detect_fleet(fleet, config=CONFIG, jobs=0)
+        reference = detect_fleet(fleet, config=CONFIG)
         state_dir = str(tmp_path / "state")
         store = FleetStateStore(state_dir, snapshot_every=8)
         for unit, rounds in reference.results.items():
@@ -178,16 +176,19 @@ class TestDegradedState:
                     path = os.path.join(directory, name)
                     data = open(path, "rb").read()
                     open(path, "wb").write(data[:-17])
-        resumed = detect_fleet(fleet, config=CONFIG, jobs=0,
-                               state_dir=state_dir)
+        resumed = detect_fleet(
+            fleet, config=CONFIG, service_config=ServiceConfig(state_dir=state_dir)
+        )
         # The torn final round is simply recomputed live.
         assert resumed.recovered_rounds == 3 * len(reference.results)
         _assert_equivalent(reference, resumed)
 
     def test_empty_state_dir_is_a_cold_start(self, fleet, tmp_path):
-        reference = detect_fleet(fleet, config=CONFIG, jobs=0)
-        resumed = detect_fleet(fleet, config=CONFIG, jobs=0,
-                               state_dir=str(tmp_path / "state"))
+        reference = detect_fleet(fleet, config=CONFIG)
+        resumed = detect_fleet(
+            fleet, config=CONFIG,
+            service_config=ServiceConfig(state_dir=str(tmp_path / "state")),
+        )
         assert resumed.recovered_rounds == 0
         _assert_equivalent(reference, resumed)
 

@@ -163,7 +163,6 @@ EXPECTED = {
         "MemorySink",
         "MetricsRegistry",
         "MonitorSource",
-        "MonitorStreamSource",
         "NetworkSource",
         "PickleTickTransport",
         "ProcessWorkerPool",

@@ -20,6 +20,7 @@ from repro.rca import (
     run_attribution_harness,
 )
 from repro.service.alerts import Alert, AlertPipeline, JSONLSink, MemorySink
+from repro.service.config import ServiceConfig
 from repro.service.metrics import MetricsRegistry
 from repro.service.scheduler import detect_fleet
 
@@ -256,7 +257,8 @@ class TestServiceIntegration:
     def test_parallel_run_matches_serial_incidents(self):
         serial = detect_fleet(_fleet(), CONFIG, sinks=("null",), rca=True)
         parallel = detect_fleet(
-            _fleet(), CONFIG, jobs=2, sinks=("null",), rca=True
+            _fleet(), CONFIG, service_config=ServiceConfig(n_workers=2),
+            sinks=("null",), rca=True,
         )
         assert [i.to_dict() for i in serial.incidents] == [
             i.to_dict() for i in parallel.incidents

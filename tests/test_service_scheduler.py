@@ -14,6 +14,7 @@ from repro.service import (
     ReplaySource,
     ServiceConfig,
     detect_fleet,
+    make_pool,
 )
 
 CONFIG = DBCatcherConfig(kpi_names=("cpu", "rps"), initial_window=10, max_window=30)
@@ -52,7 +53,7 @@ def _reference(fleet):
 
 class TestSerialService:
     def test_matches_serial_process_exactly(self, fleet):
-        report = detect_fleet(fleet, config=CONFIG, jobs=0)
+        report = detect_fleet(fleet, config=CONFIG)
         assert report.results == _reference(fleet)
 
     def test_batch_size_does_not_change_verdicts(self, fleet):
@@ -116,17 +117,31 @@ class TestParallelParity:
         """The golden parity requirement: same data, same seeds ->
         identical UnitDetectionResult sequences per unit, serial vs pool,
         on either transport."""
-        serial = detect_fleet(fleet, config=CONFIG, jobs=0)
+        serial = detect_fleet(fleet, config=CONFIG)
         parallel = detect_fleet(
-            fleet, config=CONFIG, jobs=2,
-            service_config=ServiceConfig(transport=transport),
+            fleet, config=CONFIG,
+            service_config=ServiceConfig(n_workers=2, transport=transport),
         )
         assert parallel.results == serial.results
         assert parallel.worker_restarts == 0
         assert parallel.ticks_lost == 0
 
-    def test_jobs_one_stays_serial(self, fleet):
-        report = detect_fleet(fleet, config=CONFIG, jobs=1)
+    def test_service_config_n_workers_runs_the_pool(self, fleet, monkeypatch):
+        # The worker count comes from the ServiceConfig alone: nothing
+        # else may quietly turn a pool run into a serial one.
+        from repro.service import ProcessWorkerPool, scheduler
+
+        pools = []
+
+        def spy(*args, **kwargs):
+            pools.append(make_pool(*args, **kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(scheduler, "make_pool", spy)
+        report = detect_fleet(
+            fleet, config=CONFIG, service_config=ServiceConfig(n_workers=2)
+        )
+        assert [type(pool) for pool in pools] == [ProcessWorkerPool]
         assert report.results == _reference(fleet)
 
 
@@ -176,9 +191,8 @@ class TestMonitorSourceService:
 
         rng = np.random.default_rng(9)
         source = MonitorSource(
-            [Unit("u", n_databases=3, seed=2)],
+            [BypassMonitor(Unit("u", n_databases=3, seed=2), seed=7)],
             [sysbench_irregular(120, rng)],
-            seed=7,
         )
         report = DetectionService(config, sinks=("null",)).run(source)
         assert report.results["u"] == reference

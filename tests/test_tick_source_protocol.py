@@ -8,13 +8,14 @@ per-unit gapless sequence numbers and ``(n_databases, n_kpis)`` samples.
 import numpy as np
 import pytest
 
+from repro.anomalies.base import InjectionInterval
+from repro.anomalies.stall import StallInjector
 from repro.chaos.source import ChaosSource
 from repro.cluster.monitor import BypassMonitor
 from repro.cluster.unit import Unit
 from repro.datasets import build_mixed_dataset
 from repro.service import (
     MonitorSource,
-    MonitorStreamSource,
     ReplaySource,
     RetryingSource,
     TickEvent,
@@ -38,11 +39,18 @@ def _monitor_source():
     )
 
 
-def _monitor_stream_source():
+def _hand_built_monitor():
+    """One hand-configured monitor, its demand and a stall injector."""
     unit = Unit("solo-unit", n_databases=3, seed=3)
     monitor = BypassMonitor(unit, seed=3)
     mixes = sysbench_irregular(TICKS, np.random.default_rng(3))
-    return MonitorStreamSource(monitor, mixes)
+    stall = StallInjector(1, InjectionInterval(4, 9), seed=3)
+    return monitor, mixes, stall
+
+
+def _hand_built_monitor_source():
+    monitor, mixes, stall = _hand_built_monitor()
+    return MonitorSource([monitor], [mixes], injectors=[[stall]])
 
 
 def _retrying_source():
@@ -76,7 +84,7 @@ def _network_source():
 SOURCE_FACTORIES = {
     "replay": _replay_source,
     "monitor": _monitor_source,
-    "monitor_stream": _monitor_stream_source,
+    "monitor_stream": _hand_built_monitor_source,
     "retrying": _retrying_source,
     "chaos": _chaos_source,
     "network": _network_source,
@@ -112,3 +120,28 @@ class TestTickSourceProtocol:
 
     def test_non_source_rejected(self):
         assert not isinstance(object(), TickSource)
+
+
+class TestMonitorSourceInjectors:
+    def test_samples_equal_the_monitor_stream(self):
+        monitor, mixes, stall = _hand_built_monitor()
+        direct = list(monitor.stream(mixes, injectors=[stall]))
+        events = list(_hand_built_monitor_source())
+        assert [event.seq for event in events] == list(range(TICKS))
+        assert len(direct) == TICKS
+        for event, sample in zip(events, direct):
+            np.testing.assert_array_equal(event.sample, sample)
+
+    def test_injector_changes_the_stream(self):
+        monitor, mixes, _ = _hand_built_monitor()
+        clean = list(monitor.stream(mixes))
+        events = list(_hand_built_monitor_source())
+        assert not all(
+            np.array_equal(event.sample, sample)
+            for event, sample in zip(events, clean)
+        )
+
+    def test_one_injector_sequence_per_monitor(self):
+        monitor, mixes, stall = _hand_built_monitor()
+        with pytest.raises(ValueError, match="one injector sequence"):
+            MonitorSource([monitor], [mixes], injectors=[[stall], []])
