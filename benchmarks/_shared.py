@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from functools import lru_cache
 from typing import Dict, List
 
@@ -192,6 +193,27 @@ def record_bench_result(name: str, **metrics) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+class LayerTotals:
+    """Span hook summing wall seconds per layer (``<layer>.<what>`` names).
+
+    A span counts toward its layer unless its parent is in the same layer,
+    so nested stages (``engine.profile`` inside ``engine.correlate``) are
+    not counted twice; a span nested in another layer's span counts for
+    both layers (``ingest.ticks`` inside ``http.request``).
+    """
+
+    def __init__(self) -> None:
+        self.seconds: Dict[str, float] = {}
+        self._lock = threading.Lock()  # HTTP handler threads report too
+
+    def __call__(self, record) -> None:
+        layer = record.name.partition(".")[0]
+        if record.parent is not None and record.parent.partition(".")[0] == layer:
+            return
+        with self._lock:
+            self.seconds[layer] = self.seconds.get(layer, 0.0) + record.wall_seconds
 
 
 def scale_note() -> str:

@@ -1,39 +1,18 @@
-"""RCA attribution accuracy and incident-correlation serving overhead.
+"""RCA attribution accuracy.
 
-The first bench runs the chaos-based attribution drill: single-database
-faults injected into a clean correlated fleet, scored by whether the
-culprit ranking puts the faulted database first.  The acceptance floor is
-precision@1 >= 0.8 for the attributable injector kinds.
-
-The second bench gates the serving cost of the analyzer at <= 5 %
-(``REPRO_BENCH_RCA_MAX_OVERHEAD`` overrides it).  Like the persist
-overhead bench, the gated ratio is measured *within* the RCA-enabled
-run: every top-level ``rca.*`` span's wall time is summed through a
-span hook and the ratio is ``total / (total - rca_seconds)`` — both
-terms from the same run, immune to the run-to-run scheduler jitter
-that dwarfs a few-percent effect on sub-100ms runs.  The cross-run
-bare-vs-enabled ratio is still printed and recorded, ungated, for
-trend reading.
+The chaos-based attribution drill: single-database faults injected into
+a clean correlated fleet, scored by whether the culprit ranking puts the
+faulted database first.  The acceptance floor is precision@1 >= 0.8 for
+the attributable injector kinds.  RCA's serving cost is gated with the
+other layers in ``test_layer_profile.py``.
 """
 
-import os
-import time
-
-from repro.obs import runtime as obs
-from repro.presets import default_config
 from repro.rca import run_attribution_harness
-from repro.service import detect_fleet
 
-from _shared import BENCH_TRIALS, mixed_dataset, record_bench_result
+from _shared import BENCH_TRIALS, record_bench_result
 
 #: Precision@1 floor for single-database fault injectors (acceptance bar).
 _PRECISION_FLOOR = 0.8
-
-#: RCA-enabled serving overhead budget, as a ratio over the bare run.
-_RCA_MAX_OVERHEAD = float(os.environ.get("REPRO_BENCH_RCA_MAX_OVERHEAD", "1.05"))
-
-#: Timing trials per mode; min-of-N suppresses scheduler noise.
-_RCA_TIMING_TRIALS = 3
 
 
 def test_rca_attribution_accuracy():
@@ -71,72 +50,3 @@ def test_rca_attribution_accuracy():
         assert report.precision_at(1, kind=kind) >= _PRECISION_FLOOR, (
             f"precision@1 for {kind} below the floor"
         )
-
-
-def test_rca_serving_overhead():
-    """Fleet serving with RCA attached costs <= 5 % over the bare run.
-
-    Both modes replay the identical bench dataset through
-    :func:`detect_fleet`; the only difference is whether attribution and
-    incident correlation run on each round.  The gate reads the
-    analyzer's own ``rca.*`` spans from inside the enabled run (summing
-    only top-level spans, so nested attribution spans are not counted
-    twice); both arms run under an enabled obs runtime so the recorded
-    cross-run ratio compares like with like.
-    """
-    dataset = mixed_dataset("tencent")
-    config = default_config()
-
-    def serve(rca: bool):
-        rca_seconds = 0.0
-
-        def hook(record) -> None:
-            nonlocal rca_seconds
-            parent = record.parent or ""
-            if record.name.startswith("rca.") and not parent.startswith("rca."):
-                rca_seconds += record.wall_seconds
-
-        obs.add_span_hook(hook)
-        try:
-            with obs.scoped():
-                started = time.perf_counter()
-                detect_fleet(dataset, config, sinks=("null",), rca=rca)
-                total = time.perf_counter() - started
-        finally:
-            obs.remove_span_hook(hook)
-        return total, rca_seconds
-
-    serve(rca=False)  # warm caches before either timed mode
-
-    bare = min(serve(rca=False)[0] for _ in range(_RCA_TIMING_TRIALS))
-    enabled_runs = [serve(rca=True) for _ in range(_RCA_TIMING_TRIALS)]
-    with_rca = min(total for total, _ in enabled_runs)
-    for total, rca_seconds in enabled_runs:
-        assert 0.0 < rca_seconds < total
-    # min-of-N: the repeat least disturbed by host noise.
-    ratio = min(t / (t - s) for t, s in enabled_runs)
-    e2e_ratio = with_rca / bare
-
-    report = detect_fleet(dataset, config, sinks=("null",), rca=True)
-
-    print()
-    print(f"  bare: {bare:.3f}s  with rca: {with_rca:.3f}s  "
-          f"cross-run: {e2e_ratio:.3f} (noisy)  "
-          f"in-run: {ratio:.3f} (budget {_RCA_MAX_OVERHEAD:.2f})")
-    print(f"  incidents correlated: {len(report.incidents)} over "
-          f"{len(report.alerts)} alerts")
-
-    record_bench_result(
-        "rca_serving_overhead",
-        bare_seconds=round(bare, 4),
-        rca_seconds=round(with_rca, 4),
-        overhead_ratio=round(ratio, 4),
-        e2e_ratio=round(e2e_ratio, 4),
-        budget_ratio=_RCA_MAX_OVERHEAD,
-        incidents=len(report.incidents),
-    )
-
-    assert ratio <= _RCA_MAX_OVERHEAD, (
-        f"rca-enabled serving cost {(ratio - 1) * 100:.1f}% "
-        f"(budget {(_RCA_MAX_OVERHEAD - 1) * 100:.0f}%)"
-    )

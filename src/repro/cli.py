@@ -19,7 +19,7 @@ code:
   clean run;
 * ``obs``      — run one instrumented detection pass and emit the
   observability exposition (Prometheus text or JSON), including the
-  per-stage detection latency histograms;
+  per-stage span histograms;
 * ``rca``      — replay a recorded run (saved dataset or alert JSONL)
   into a ranked root-cause report: culprit databases/KPIs per incident,
   severities and lifecycle, without the live service; ``--accuracy``
@@ -642,15 +642,22 @@ def _cmd_serve(args) -> int:
     if report.elapsed_seconds > 0:
         print(f"  throughput: ~{points / report.elapsed_seconds:,.0f} "
               f"KPI points/s")
-    comp = report.component_seconds
-    if comp.get("correlation") or comp.get("observation"):
-        print(f"  detection time: correlation {comp.get('correlation', 0.0):.2f}s, "
-              f"observation {comp.get('observation', 0.0):.2f}s")
-    for name in ("ingest_latency_seconds", "dispatch_latency_seconds"):
-        snap = report.metrics.get(name)
-        if snap and snap["count"]:
-            print(f"  {name}: mean {snap['mean'] * 1e3:.3f}ms "
-                  f"max {snap['max'] * 1e3:.3f}ms over {snap['count']}")
+    # Span histograms exist only when the run was observed.
+    def span_seconds(*names):
+        return sum(
+            report.metrics.get(f"span.{name}.wall_seconds", {}).get("sum", 0.0)
+            for name in names
+        )
+
+    correlation = span_seconds("engine.window", "engine.correlate")
+    observation = span_seconds("levels.threshold", "levels.decide")
+    if correlation or observation:
+        print(f"  detection time: correlation {correlation:.2f}s, "
+              f"observation {observation:.2f}s")
+    rounds = report.metrics.get("span.dispatch.round.wall_seconds")
+    if rounds and rounds["count"]:
+        print(f"  dispatch.round: mean {rounds['mean'] * 1e3:.3f}ms "
+              f"max {rounds['max'] * 1e3:.3f}ms over {rounds['count']}")
     return 0
 
 
@@ -744,8 +751,8 @@ def _cmd_obs(args) -> int:
         print("obs needs a dataset path or --live", file=sys.stderr)
         return 2
     # Serial pool: detector spans and KCD counters are recorded in-process,
-    # so the exposition carries the full per-stage latency picture (forked
-    # workers would keep their spans to themselves).
+    # so the exposition carries the full per-stage picture (forked workers
+    # hand back their spans but keep their counters).
     with obs.scoped() as registry:
         service = DetectionService(
             _detect_config(args),

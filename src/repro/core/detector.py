@@ -14,7 +14,6 @@ stream cursor by the round's final window size.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -167,13 +166,6 @@ class DBCatcher:
         self._history: List[JudgementRecord] = []
         self._results: List[UnitDetectionResult] = []
         self._rounds_completed = 0
-        #: Cumulative seconds per component (Section IV-D4's breakdown):
-        #: "correlation" covers the correlation-measurement module,
-        #: "observation" the flexible-window level/state machinery.
-        self.component_seconds: Dict[str, float] = {
-            "correlation": 0.0,
-            "observation": 0.0,
-        }
 
     @property
     def config(self) -> DBCatcherConfig:
@@ -317,9 +309,8 @@ class DBCatcher:
             end = state.start + state.size
             if self._streams.next_tick < end:
                 return None  # blocked until more ticks arrive
-            with obs.span("detector.normalize"):
+            with obs.span("engine.window"):
                 window = self._streams.window(state.start, end)
-                started = time.perf_counter()
                 # Degraded-telemetry guard: a database with NaN/inf anywhere
                 # in this window is treated as temporarily inactive for the
                 # round.  Shrinking the mask keeps non-finite values out of
@@ -339,11 +330,8 @@ class DBCatcher:
                 # left to judge): no correlation evidence is obtainable,
                 # so resolve the round with whatever was already recorded
                 # instead of expanding forever on a degraded window.
-                self.component_seconds["correlation"] += (
-                    time.perf_counter() - started
-                )
                 return self._finish_round(state)
-            with obs.span("detector.correlate"):
+            with obs.span("engine.correlate"):
                 matrices = self._engine.matrices(
                     window,
                     self._config.kpi_names,
@@ -353,14 +341,12 @@ class DBCatcher:
                 )
             state.matrices = tuple(matrices)
             state.round_active = tuple(bool(flag) for flag in round_active)
-            after_correlation = time.perf_counter()
-            self.component_seconds["correlation"] += after_correlation - started
-            with obs.span("detector.threshold"):
+            with obs.span("levels.threshold"):
                 levels = calculate_levels(
                     matrices, self._config, active=round_active
                 )
             still_pending: List[int] = []
-            with obs.span("detector.verdict"):
+            with obs.span("levels.decide"):
                 for db in state.pending:
                     decision = self._window_ctl.decide(
                         levels, db, state.size, state.expansions
@@ -376,9 +362,6 @@ class DBCatcher:
                         )
                     else:
                         still_pending.append(db)
-            self.component_seconds["observation"] += (
-                time.perf_counter() - after_correlation
-            )
             if not still_pending:
                 return self._finish_round(state)
             state.pending = still_pending
@@ -426,12 +409,12 @@ class DBCatcher:
 
         Captures everything a warm restart needs: config (including
         tuned thresholds), active mask, stream cursor and buffered tail,
-        retained judgement records and round results, and the component
-        timing totals.  An in-progress round is deliberately *not*
-        captured — it is a pure function of the buffered ticks past the
-        cursor, so :meth:`from_state` re-derives it deterministically
-        the moment data resumes.  Engine caches rebuild lazily on the
-        first round and only cost one warm-up correlation pass.
+        and retained judgement records and round results.  An in-progress
+        round is deliberately *not* captured — it is a pure function of the
+        buffered ticks past the cursor, so :meth:`from_state` re-derives it
+        deterministically the moment data resumes.  Engine caches rebuild
+        lazily on the first round and only cost one warm-up correlation
+        pass.
 
         ``healthy_matrices=False`` skips encoding the correlation
         matrices of retained *healthy* rounds; the persistence layer
@@ -452,7 +435,6 @@ class DBCatcher:
             "active": [bool(flag) for flag in self._active],
             "cursor": self._cursor,
             "rounds_completed": self._rounds_completed,
-            "component_seconds": dict(self.component_seconds),
             "streams": self._streams.to_state(),
             "history": [codec.encode_record(r) for r in self._history],
             "results": [
@@ -475,7 +457,8 @@ class DBCatcher:
         Parameters
         ----------
         state:
-            A version-1 state payload.
+            A version-1 state payload.  The detector timing totals that
+            payloads written before 1.9 carry are ignored.
         history_limit:
             Optional retention override (the worker pool owns retention
             policy, so a restored shard obeys the pool, not the config
@@ -497,9 +480,6 @@ class DBCatcher:
         )
         detector._cursor = int(state["cursor"])
         detector._rounds_completed = int(state["rounds_completed"])
-        detector.component_seconds = {
-            str(k): float(v) for k, v in state["component_seconds"].items()
-        }
         detector._streams.load_state(state["streams"])
         detector._history = [
             codec.decode_record(r) for r in state["history"]
@@ -544,7 +524,6 @@ class DBCatcher:
             "round_open": self._round is not None,
             "rounds_completed": self._rounds_completed,
             "records_retained": len(self._history),
-            "component_seconds": dict(self.component_seconds),
         }
 
     def average_window_size(self) -> float:

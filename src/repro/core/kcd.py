@@ -188,7 +188,7 @@ def lagged_correlation_profile(
         x_arr = minmax_normalize(x_arr)
         y_arr = minmax_normalize(y_arr)
     obs.counter("kcd.profile_calls").increment()
-    with obs.span("kcd.profile"):
+    with obs.span("engine.profile"):
         return _profile_fast(x_arr, y_arr, m)
 
 
@@ -404,7 +404,7 @@ def kcd_matrix(
         if live_i.size:
             if obs.is_enabled():
                 obs.counter("kcd.pairs_scored").increment(int(live_i.size))
-            with obs.span("kcd.pairwise_profiles"):
+            with obs.span("engine.pairwise_profiles"):
                 profiles = _pairwise_profiles(normalized, live_i, live_j, m)
             scores = profiles.max(axis=1)
             matrix[live_i, live_j] = scores

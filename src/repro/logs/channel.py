@@ -16,9 +16,9 @@ the log channel fires, the channel also builds the log-evidence
 correlator thread the round into an incident the same way a
 decorrelation verdict would.
 
-All channel work is timed on the ``logs.channel_seconds`` histogram —
-the in-run overhead the ``benchmarks/test_logs_overhead.py`` gate holds
-to the same <=5% budget as persistence and the ingestion API.
+All channel work is timed on the ``logs.ingest`` and ``logs.fuse``
+spans — the in-run layer cost ``benchmarks/test_layer_profile.py``
+holds to the same <=5% budget as persistence and the ingestion API.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class LogChannel:
         self._next_seq[unit] = seq + 1
         if not events:
             return 0
-        with obs.histogram("logs.channel_seconds").time():
+        with obs.span("logs.ingest"):
             counted = counter.observe(seq, events)
         if counted:
             obs.counter("logs.events_ingested").increment(counted)
@@ -124,7 +124,7 @@ class LogChannel:
         log evidence *alone*, the log-side attribution that stands in
         for the correlation attribution the round cannot have.
         """
-        with obs.histogram("logs.channel_seconds").time():
+        with obs.span("logs.fuse"):
             verdict = self.judge(unit, result.start, result.end)
             fused = fuse_round(unit, result, verdict)
             attribution: Optional[Attribution] = None

@@ -9,7 +9,8 @@ that measurement layer, dependency-free and off by default:
   (with percentile estimates) behind :class:`MetricsRegistry`, plus the
   no-op :class:`NullRegistry`;
 * :mod:`~repro.obs.spans` — nestable, thread-safe tracing spans recording
-  wall and per-thread CPU seconds, with a profiling-hook API;
+  wall and per-thread CPU seconds, named ``<layer>.<what>``, with a
+  profiling-hook API;
 * :mod:`~repro.obs.runtime` — the ambient process-wide runtime every
   instrumented call site asks for instruments (``obs.span(...)``,
   ``obs.counter(...)``); disabled means shared no-op objects;

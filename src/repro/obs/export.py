@@ -10,7 +10,7 @@ Two formats cover the two consumers a deployed DBCatcher has:
 * :func:`to_json` / :func:`snapshot` — the registry's plain-dict snapshot
   (JSON-encoded or raw), for dashboards, tests and artifact files.
 
-Metric names such as ``span.detector.correlate.wall_seconds`` are
+Metric names such as ``span.engine.correlate.wall_seconds`` are
 sanitized to Prometheus' ``[a-zA-Z_:][a-zA-Z0-9_:]*`` grammar (dots and
 other separators become underscores) and prefixed with ``repro_``.
 """

@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import threading
 import time
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Counter",
@@ -136,6 +136,23 @@ class Histogram:
     def time(self) -> "_Timer":
         """Context manager recording the elapsed wall-clock seconds."""
         return _Timer(self)
+
+    def merge(self, snapshot: Dict[str, Any]) -> None:
+        """Fold a same-bounds histogram's :meth:`snapshot` (say, from a
+        pool worker process) into this one."""
+        counts = list(snapshot["buckets"].values())
+        if len(counts) != len(self._counts):
+            raise ValueError("cannot merge histograms with different bounds")
+        low, high = snapshot["min"], snapshot["max"]
+        with self._lock:
+            for index, count in enumerate(counts):
+                self._counts[index] += int(count)
+            self._count += int(snapshot["count"])
+            self._sum += float(snapshot["sum"])
+            if low is not None and (self._min is None or low < self._min):
+                self._min = float(low)
+            if high is not None and (self._max is None or high > self._max):
+                self._max = float(high)
 
     @property
     def count(self) -> int:
@@ -316,6 +333,9 @@ class _NullHistogram:
 
     def time(self) -> _NullTimer:
         return self._timer
+
+    def merge(self, snapshot: Dict[str, Any]) -> None:
+        pass
 
     def percentile(self, q: float) -> float:
         return 0.0

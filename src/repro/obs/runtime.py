@@ -6,21 +6,21 @@ instruments::
     from repro.obs import runtime as obs
 
     obs.counter("kcd.matrix_calls").increment()
-    with obs.span("detector.correlate"):
+    with obs.span("engine.correlate"):
         ...
 
 By default the ambient registry is a shared
 :class:`~repro.obs.metrics.NullRegistry` and ``span`` returns a shared
 no-op context manager, so an uninstrumented-feeling cost — one module
 attribute load and one method call per site — is all a disabled process
-pays (the §IV-D4 bench pins the *enabled* overhead at <= 5 % too).
+pays (the layer-profile bench pins the *enabled* overhead too).
 
 :func:`enable` swaps in a live registry; :func:`scoped` does so
 temporarily (what the ``repro obs`` CLI command and the chaos runner
 use); :func:`disable` restores the null runtime.  Worker processes
 inherit the parent's state at fork time — enabling after the pool is up
-only instruments the parent, which is why the serial pool is the
-recommended profile for deep traces.
+only instruments the parent.  A pool worker forked from an enabled
+parent hands its span histograms back when it stops.
 """
 
 from __future__ import annotations

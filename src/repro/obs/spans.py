@@ -1,7 +1,8 @@
 """Lightweight tracing spans: nestable, thread-safe, wall + CPU time.
 
-A *span* wraps one pipeline stage — ``span("detector.correlate")`` around
-the correlation-measurement module, ``span("kcd.profile")`` around one
+Spans are the one way the library times itself.  A *span* wraps one
+pipeline stage and is named ``<layer>.<what>`` — ``span("engine.correlate")``
+around the correlation measurement, ``span("engine.profile")`` around one
 profile computation — and on exit records the stage's wall-clock and
 per-thread CPU seconds into the ambient registry:
 
@@ -132,7 +133,7 @@ class Tracer:
         return stack
 
     def span(self, name: str) -> _Span:
-        """Open a span; use as ``with tracer.span("kcd.profile"):``."""
+        """Open a span; use as ``with tracer.span("engine.profile"):``."""
         return _Span(self, name)
 
     def current(self) -> Optional[str]:

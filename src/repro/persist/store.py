@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import re
-import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.detector import UnitDetectionResult
@@ -178,19 +177,16 @@ class UnitStore:
         re-derives the open round deterministically) and healthy retained
         rounds lose their matrices, same as in the WAL.
         """
-        started = time.perf_counter()
-        payload = {
-            "version": SNAPSHOT_VERSION,
-            "unit": self.unit,
-            "state": self._trim_state(state),
-        }
-        written = atomic_write_json(self.snapshot_path, payload)
-        self._rotate()
-        self._compact(int(state["cursor"]))
+        with obs.span("persist.snapshot"):
+            payload = {
+                "version": SNAPSHOT_VERSION,
+                "unit": self.unit,
+                "state": self._trim_state(state),
+            }
+            written = atomic_write_json(self.snapshot_path, payload)
+            self._rotate()
+            self._compact(int(state["cursor"]))
         obs.counter("persist.snapshot_bytes").increment(written)
-        obs.histogram("persist.snapshot_seconds").observe(
-            time.perf_counter() - started
-        )
 
     def _rotate(self) -> None:
         if self._writer is not None:

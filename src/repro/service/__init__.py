@@ -17,7 +17,7 @@ this package runs a *fleet* of them online:
 * :mod:`~repro.service.workers` — the sharded worker pool
   (``multiprocessing`` with crash-restart, serial in-process fallback);
 * :mod:`~repro.service.alerts` — the alert pipeline and its sinks;
-* :mod:`~repro.service.metrics` — counters / gauges / latency histograms;
+* :mod:`~repro.service.metrics` — counters / gauges / histograms;
 * :mod:`~repro.service.scheduler` — :class:`DetectionService`, which
   wires it all together, and :func:`detect_fleet` for offline fan-out.
 
@@ -31,7 +31,7 @@ Quick start::
         sinks=("stdout",),
     )
     report = service.run(ReplaySource("fleet.npz"))
-    print(report.alerts_emitted, report.metrics["dispatch_latency_seconds"])
+    print(report.alerts_emitted, report.metrics["ticks_ingested"])
 """
 
 from repro.service.api import (

@@ -309,7 +309,7 @@ def push_dataset(
             client.close_stream()
 
     attempts = 0
-    with obs.histogram("api.push_seconds").time():
+    with obs.span("client.push"):
         while True:
             try:
                 replay()

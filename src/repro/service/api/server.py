@@ -30,7 +30,6 @@ import json
 import math
 import os
 import threading
-import time
 from collections import OrderedDict, deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Deque, Dict, List, Optional
@@ -307,7 +306,10 @@ class IngestServer:
     # -- routing -----------------------------------------------------------
 
     def _handle(self, handler: BaseHTTPRequestHandler, method: str) -> None:
-        started = time.perf_counter()
+        with obs.span("http.request"):
+            self._route(handler, method)
+
+    def _route(self, handler: BaseHTTPRequestHandler, method: str) -> None:
         path = unquote(handler.path.split("?", 1)[0])
         query = handler.path.partition("?")[2]
         obs.counter("api.requests").increment()
@@ -350,10 +352,6 @@ class IngestServer:
                 500,
                 {"error": {"code": "internal", "message": str(exc)}},
             )
-        finally:
-            obs.histogram("api.request_seconds").observe(
-                time.perf_counter() - started
-            )
 
     def _handle_stream(self, handler: BaseHTTPRequestHandler) -> None:
         fleet = parse_handshake(self._read_body(handler))
@@ -370,7 +368,7 @@ class IngestServer:
         # detection is charged to the gated ingest span: JSON decode,
         # wire validation, and queue admission.
         raw = self._read_raw(handler)
-        with obs.histogram("api.ingest_seconds").time():
+        with obs.span("ingest.ticks"):
             payload = decode_body(raw, self.max_body_bytes)
             fleet = self.source.fleet
             unit, events = parse_tick_batch(

@@ -5,7 +5,8 @@ ingestion bridge (bounded queues, backpressure) -> sharded worker pool ->
 alert pipeline — and runs the whole fleet to completion of the source (or
 a tick budget).  The §IV-D4 deployment in miniature: many units' detectors
 screened concurrently, results surfacing as alerts while operational
-counters and latency histograms accumulate in the metrics registry.
+counters accumulate in the metrics registry and, when observability is
+enabled, ``<layer>.<what>`` spans time each stage.
 
 :func:`detect_fleet` is the offline convenience over the same machinery:
 shard a saved dataset across ``ServiceConfig.n_workers`` workers and get
@@ -91,7 +92,6 @@ class ServiceReport:
     incidents: List["Incident"] = field(default_factory=list)
     sequence_gaps: Dict[str, int] = field(default_factory=dict)
     stale_ticks: Dict[str, int] = field(default_factory=dict)
-    component_seconds: Dict[str, float] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
     metrics: Dict[str, object] = field(default_factory=dict)
 
@@ -136,7 +136,7 @@ class _PersistenceDriver:
         self.snapshots_written = 0
 
     def record(self, results: Dict[str, List[UnitDetectionResult]]) -> None:
-        with obs.histogram("persist.write_seconds").time():
+        with obs.span("persist.write"):
             due: List[str] = []
             for unit, unit_results in results.items():
                 if not unit_results:
@@ -164,7 +164,7 @@ class _PersistenceDriver:
 
     def finalize(self) -> None:
         """Final snapshot of every unit at end of stream."""
-        with obs.histogram("persist.write_seconds").time():
+        with obs.span("persist.write"):
             self.snapshot(sorted(self._since))
 
 
@@ -290,12 +290,9 @@ class DetectionService:
                 snapshot_every=cfg.snapshot_every,
                 wal_sync=cfg.wal_sync,
             )
-            recovery_started = time.perf_counter()
-            states, recovered, resume_tick = self._recover(store, specs)
+            with obs.span("persist.recover"):
+                states, recovered, resume_tick = self._recover(store, specs)
             if states:
-                obs.histogram("persist.recovery_seconds").observe(
-                    time.perf_counter() - recovery_started
-                )
                 # A recovered unit's persisted config wins over the
                 # construction-time one: it carries any thresholds tuned
                 # before the crash, and crash-restarted workers must
@@ -355,8 +352,6 @@ class DetectionService:
             if store is not None
             else None
         )
-        ingest_latency = self.metrics.histogram("ingest_latency_seconds")
-        dispatch_latency = self.metrics.histogram("dispatch_latency_seconds")
         started = time.perf_counter()
         take_actions = getattr(source, "take_actions", None)
         try:
@@ -392,20 +387,20 @@ class DetectionService:
                 if replayed:
                     phantom[event.unit] += 1
                 else:
-                    with ingest_latency.time():
+                    with obs.span("queue.offer"):
                         bridge.offer(event, timeout=cfg.put_timeout_seconds)
                 pending = bridge.pending(event.unit) + phantom[event.unit]
                 if pending >= cfg.batch_ticks:
                     self._dispatch_round(
-                        bridge, pool, pipeline, report, dispatch_latency,
-                        collect_results, persist, channel,
+                        bridge, pool, pipeline, report, collect_results,
+                        persist, channel,
                     )
                     for name in phantom:
                         phantom[name] = 0
             # Source exhausted: flush whatever is still queued.
             self._dispatch_round(
-                bridge, pool, pipeline, report, dispatch_latency,
-                collect_results, persist, channel,
+                bridge, pool, pipeline, report, collect_results, persist,
+                channel,
             )
             if self.coordinator is not None:
                 self.coordinator.drain()
@@ -437,7 +432,6 @@ class DetectionService:
         report.sequence_gaps = dict(bridge.sequence_gaps)
         report.stale_ticks = dict(bridge.stale_rejected)
         report.ticks_stale = sum(bridge.stale_rejected.values())
-        report.component_seconds = pool.component_seconds()
         report.metrics = self.metrics.snapshot()
         return report
 
@@ -576,7 +570,6 @@ class DetectionService:
         pool,
         pipeline: AlertPipeline,
         report: ServiceReport,
-        dispatch_latency,
         collect_results: bool,
         persist: Optional[_PersistenceDriver] = None,
         channel: Optional["LogChannel"] = None,
@@ -596,7 +589,7 @@ class DetectionService:
             self.coordinator.poll()
             for unit, block in batches.items():
                 self.coordinator.observe_batch(unit, block)
-        with dispatch_latency.time(), obs.span("service.dispatch_round"):
+        with obs.span("dispatch.round"):
             results = pool.dispatch(batches)
         if persist is not None:
             # Verdicts become durable before they become notifications.

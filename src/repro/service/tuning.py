@@ -420,14 +420,14 @@ class TuningCoordinator:
             return
         swap_started = time.perf_counter()
         if self._pool is not None:
-            self._pool.install_config(job.unit, job.tuned_config)
+            with obs.span("tuning.swap"):
+                self._pool.install_config(job.unit, job.tuned_config)
         swap_seconds = time.perf_counter() - swap_started
         state.config = job.tuned_config
         # The window scored the old thresholds; judging the new ones by
         # it would re-trigger immediately.
         state.window.clear()
         obs.counter("tuning.swaps").increment()
-        obs.histogram("tuning.swap_seconds").observe(swap_seconds)
         obs.gauge("tuning.last_fitness").set(job.tuned_fitness)
         self.events.append(
             RetrainEvent(

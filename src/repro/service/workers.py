@@ -46,6 +46,9 @@ import numpy as np
 
 from repro.core.config import DBCatcherConfig
 from repro.core.detector import DBCatcher, UnitDetectionResult
+from repro.obs import runtime as obs
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import SPAN_BUCKETS
 from repro.persist.codec import shift_state, state_next_tick
 from repro.service.config import ServiceConfig
 from repro.service.sharding import HashRing
@@ -175,16 +178,6 @@ class SerialWorkerPool:
             results[unit] = self.detectors[unit].process(block)
         return results
 
-    def component_seconds(self) -> Dict[str, float]:
-        totals = {"correlation": 0.0, "observation": 0.0}
-        for detector in self.detectors.values():
-            for key, value in detector.component_seconds.items():
-                totals[key] = totals.get(key, 0.0) + value
-        return totals
-
-    def export_states(self) -> Dict[str, Dict[str, object]]:
-        return {name: d.export_state() for name, d in self.detectors.items()}
-
     def export_persist_states(
         self, units: Optional[Sequence[str]] = None
     ) -> Dict[str, Dict[str, Any]]:
@@ -210,6 +203,10 @@ def _worker_main(
     transport_init: Optional[Any] = None,
 ) -> None:
     """Worker process loop: build the shard's detectors, serve commands."""
+    if obs.is_enabled():
+        # The forked registry still holds the parent's observations; a
+        # fresh one keeps the stop reply to this worker's own spans.
+        obs.enable(MetricsRegistry())
     detectors = _build_detectors(specs, history_limit, states)
     reader = (
         WorkerRingReader(transport_init) if transport_init is not None else None
@@ -250,10 +247,6 @@ def _worker_main(
         elif kind == "forget":
             detectors.pop(message[1], None)
             conn.send(("forgotten", message[1]))
-        elif kind == "snapshot":
-            conn.send(
-                ("states", {name: d.export_state() for name, d in detectors.items()})
-            )
         elif kind == "persist":
             conn.send(
                 (
@@ -268,11 +261,9 @@ def _worker_main(
             # Test hook: die the way a segfault would — no cleanup, no reply.
             os._exit(13)
         elif kind == "stop":
-            totals = {"correlation": 0.0, "observation": 0.0}
-            for detector in detectors.values():
-                for key, value in detector.component_seconds.items():
-                    totals[key] = totals.get(key, 0.0) + value
-            conn.send(("stopped", totals))
+            snapshot = obs.get_registry().snapshot()
+            spans = {k: v for k, v in snapshot.items() if k.startswith("span.")}
+            conn.send(("stopped", spans))
             conn.close()
             if reader is not None:
                 reader.close()
@@ -510,7 +501,6 @@ class ProcessWorkerPool:
         self._ring = HashRing([f"w{k}" for k in range(self._worker_seq)])
         self._owner: Dict[str, str] = self._ring.assign_many(self._unit_order)
         self._retired_restarts = 0
-        self._component_seconds = {"correlation": 0.0, "observation": 0.0}
         by_name = {spec.name: spec for spec in specs}
         self._handles: Dict[str, _WorkerHandle] = {}
         for worker_id, shard in self._ring.shards(self._unit_order).items():
@@ -657,17 +647,6 @@ class ProcessWorkerPool:
             return
         if reply[0] != "config_installed":  # pragma: no cover - protocol guard
             raise RuntimeError(f"unexpected worker reply {reply[0]!r}")
-
-    def export_states(self) -> Dict[str, Dict[str, object]]:
-        states: Dict[str, Dict[str, object]] = {}
-        for handle in self._handles.values():
-            try:
-                reply = handle.request(("snapshot",))
-            except _WORKER_FAILURES + (WorkerDied,):
-                continue
-            if reply[0] == "states":
-                states.update(reply[1])
-        return states
 
     def export_persist_states(
         self, units: Optional[Sequence[str]] = None
@@ -849,18 +828,14 @@ class ProcessWorkerPool:
             pass
         handle.process.join(timeout=5.0)
 
-    def component_seconds(self) -> Dict[str, float]:
-        return dict(self._component_seconds)
-
     def _stop_handle(self, handle: _WorkerHandle) -> None:
-        """Gracefully stop one worker: collect timings, join, dispose."""
+        """Gracefully stop one worker: collect its spans, join, dispose."""
         try:
             reply = handle.request(("stop",), timeout=30.0)
             if reply[0] == "stopped":
-                for key, value in reply[1].items():
-                    self._component_seconds[key] = (
-                        self._component_seconds.get(key, 0.0) + value
-                    )
+                registry = obs.get_registry()
+                for name, spans in reply[1].items():
+                    registry.histogram(name, bounds=SPAN_BUCKETS).merge(spans)
         except _WORKER_FAILURES + (WorkerDied,):
             pass
         if handle.process is not None:
@@ -873,7 +848,7 @@ class ProcessWorkerPool:
         handle.dispose()
 
     def stop(self) -> None:
-        """Graceful shutdown: collect timings, join, terminate stragglers."""
+        """Graceful shutdown: collect spans, join, terminate stragglers."""
         for handle in self._handles.values():
             self._stop_handle(handle)
 

@@ -72,7 +72,22 @@ class TestServeCommand:
         assert "served 2 units (serial)" in out
         assert "400 ticks" in out
         assert "worker restarts" in out
-        assert "dispatch_latency_seconds" in out
+        # Timing is opt-in: an unobserved run prints no span timings.
+        assert "dispatch.round" not in out
+
+    def test_serve_observed_summary_reads_spans(self, archive, tmp_path, capsys):
+        capsys.readouterr()
+        snapshot = tmp_path / "snap.prom"
+        assert main([
+            "serve", str(archive), "--sink", "null", "--jobs", "2",
+            "--obs-snapshot", str(snapshot),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "detection time: correlation" in out
+        assert "dispatch.round: mean" in out
+        assert "repro_span_engine_correlate_wall_seconds_count" in (
+            snapshot.read_text()
+        )
 
     def test_serve_jsonl_sink(self, archive, tmp_path, capsys):
         capsys.readouterr()

@@ -16,6 +16,7 @@ from repro.core.records import DatabaseState
 from repro.datasets import Dataset, build_unit_series, train_test_split
 from repro.eval.metrics import scores_from_records
 from repro.eval.runner import run_baseline_trial, run_dbcatcher_trial
+from repro.obs import runtime as obs
 from repro.presets import default_config
 from repro.tuning import GeneticThresholdLearner
 
@@ -61,15 +62,22 @@ class TestDetectionPipeline:
             assert a.window_end == b.window_end
 
     def test_component_seconds_accumulate(self, tencent_unit):
-        catcher = DBCatcher(default_config(), n_databases=5)
-        catcher.process(tencent_unit.values, time_axis=-1)
-        assert catcher.component_seconds["correlation"] > 0
-        assert catcher.component_seconds["observation"] > 0
+        # Section IV-D4's split: correlation is the detector's top-level
+        # engine spans, window observation its levels spans.
+        with obs.scoped() as registry:
+            catcher = DBCatcher(default_config(), n_databases=5)
+            catcher.process(tencent_unit.values, time_axis=-1)
+        snapshot = registry.snapshot()
+
+        def seconds(*names):
+            return sum(snapshot[f"span.{n}.wall_seconds"]["sum"] for n in names)
+
+        correlation = seconds("engine.window", "engine.correlate")
+        observation = seconds("levels.threshold", "levels.decide")
+        assert correlation > 0
+        assert observation > 0
         # The paper reports correlation measurement dominating (~70 %).
-        assert (
-            catcher.component_seconds["correlation"]
-            > catcher.component_seconds["observation"]
-        )
+        assert correlation > observation
 
 
 class TestFeedbackLoop:

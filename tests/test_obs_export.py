@@ -22,8 +22,8 @@ from repro.obs import (
 class TestMetricName:
     def test_dots_become_underscores_with_prefix(self):
         assert (
-            metric_name("span.detector.correlate.wall_seconds")
-            == "repro_span_detector_correlate_wall_seconds"
+            metric_name("span.engine.correlate.wall_seconds")
+            == "repro_span_engine_correlate_wall_seconds"
         )
 
     def test_custom_and_empty_prefix(self):

@@ -90,6 +90,22 @@ class TestHistogram:
         histogram.observe(70.0)
         assert histogram.percentile(95.0) <= 70.0
 
+    def test_merge_folds_another_histograms_snapshot(self):
+        # How a pool worker's span histograms join the parent's registry.
+        parent = Histogram("h", bounds=(0.1, 1.0))
+        worker = Histogram("h", bounds=(0.1, 1.0))
+        parent.observe(0.5)
+        for value in (0.05, 2.0):
+            worker.observe(value)
+        parent.merge(worker.snapshot())
+        parent.merge(Histogram("h", bounds=(0.1, 1.0)).snapshot())
+        merged = parent.snapshot()
+        assert merged["count"] == 3 and merged["sum"] == pytest.approx(2.55)
+        assert (merged["min"], merged["max"]) == (0.05, 2.0)
+        assert list(merged["buckets"].values()) == [1, 1, 1]
+        with pytest.raises(ValueError):
+            parent.merge(Histogram("h", bounds=(1.0,)).snapshot())
+
     def test_percentile_empty_histogram(self):
         assert Histogram("h", bounds=(1.0,)).percentile(50.0) == 0.0
 
@@ -143,6 +159,7 @@ class TestNullRegistry:
         histogram.observe(1.0)
         with histogram.time():
             pass
+        histogram.merge(Histogram("h").snapshot())
         assert histogram.percentile(0.5) == 0.0
         assert registry.snapshot() == {}
         assert list(registry) == []

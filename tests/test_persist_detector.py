@@ -43,6 +43,27 @@ def test_restored_detector_matches_uninterrupted(split):
     assert restored.cursor == reference.cursor
 
 
+def test_pre_1_9_payload_with_timing_totals_still_restores():
+    # Snapshots written before 1.9 carry a "component_seconds" key; a
+    # --state-dir from then must keep restoring to identical verdicts.
+    series = _series()
+    reference = DBCatcher(CONFIG, n_databases=3)
+    expected = reference.process(series)
+
+    first = DBCatcher(CONFIG, n_databases=3)
+    head = first.process(series[:95])
+    state = first.to_state()
+    assert "component_seconds" not in state
+    state["component_seconds"] = {"correlation": 0.25, "observation": 0.1}
+    assert state["version"] == codec.STATE_VERSION == 1
+    restored = DBCatcher.from_state(state)
+    tail = restored.process(series[95:])
+
+    assert list(head) + list(tail) == list(expected)
+    assert restored.history == reference.history
+    assert "component_seconds" not in restored.to_state()
+
+
 def test_state_is_json_serializable():
     import json
 

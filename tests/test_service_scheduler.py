@@ -106,9 +106,9 @@ class TestSerialService:
         service = DetectionService(CONFIG, sinks=("null",), metrics=metrics)
         report = service.run(ReplaySource(fleet))
         assert report.metrics["ticks_ingested"] == 160 * len(fleet.units)
-        assert report.metrics["ingest_latency_seconds"]["count"] > 0
-        assert report.metrics["dispatch_latency_seconds"]["count"] > 0
-        assert report.component_seconds["correlation"] > 0.0
+        # Timing is observability, and observability is opt-in: an
+        # unobserved run keeps no timers at all.
+        assert not [name for name in report.metrics if name.endswith("_seconds")]
 
 
 class TestParallelParity:
