@@ -20,7 +20,10 @@ Three phases, all driven from this one script:
 
 The drill then loads both state directories' verdict histories and
 requires them identical: round spans and judgement records exactly,
-correlation matrices (kept only for abnormal rounds) to 1e-9.
+correlation matrices (kept only for abnormal rounds) to 1e-9.  The
+reference and resume victims also dump ``report.alerts``; the resumed
+run's alerts (re-published from the WAL, then live) must equal the
+reference's in order, field for field.
 
 ``--api`` runs the kill + resume phases over the network ingestion
 plane instead of an in-process replay: the victim serves an
@@ -31,9 +34,13 @@ re-reads that file before every request.  SIGKILL takes out the server
 mid-stream — admitted-but-unprocessed ticks die with the queue — and
 the restarted victim binds a fresh port, rewrites the URL file, and the
 pusher reconnects, re-registers, and replays from tick zero; stale
-dedup on the serving side makes the replay idempotent.  The reference
-history stays in-process, so equivalence here pins transport *and*
-crash recovery in one sweep.
+dedup on the serving side makes the replay idempotent.  The pusher
+trickles ticks, so the served victims dispatch whenever the ingest queue
+runs dry rather than every ``--batch-ticks`` ticks: batch boundaries
+follow arrival timing, and the drill checks that the resumed victim
+really dispatched more often than the cap alone would.  The reference
+history stays in-process, so equivalence here pins transport, adaptive
+dispatch *and* crash recovery in one sweep.
 
 Exit status 0 on equivalence; 1 with a diff on any mismatch.  Run it
 locally with::
@@ -44,6 +51,7 @@ locally with::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import signal
 import subprocess
@@ -109,23 +117,38 @@ def _run_victim(args: argparse.Namespace) -> int:
     """Child mode: serve the dataset into ``--state-dir`` and exit."""
     import faulthandler
 
+    from repro.obs import runtime as obs
+
     # Diagnostics for a wedged victim: `kill -USR1 <pid>` dumps every
     # thread's stack to stderr without disturbing the run.
     faulthandler.register(signal.SIGUSR1)
 
-    if args.url_file:
-        return _run_victim_api(args)
+    with obs.scoped() as registry:
+        if args.url_file:
+            report = _serve_api(args)
+        else:
+            from repro.service.sources import ReplaySource
 
-    from repro.service.sources import ReplaySource
-
-    service = _build_service(args)
-    source = _Throttled(ReplaySource(args.dataset), args.throttle)
-    report = service.run(source, collect_results=False)
-    print(f"victim done: {report.total_rounds} live rounds", flush=True)
+            source = _Throttled(ReplaySource(args.dataset), args.throttle)
+            report = _build_service(args).run(source, collect_results=False)
+    dispatches = registry.snapshot().get(
+        "span.dispatch.round.wall_seconds", {}
+    ).get("count", 0)
+    if args.alerts_out:
+        tmp = args.alerts_out + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump({
+                "alerts": [alert.to_dict() for alert in report.alerts],
+                "dispatches": dispatches,
+                "ticks": report.ticks_ingested,
+            }, handle)
+        os.replace(tmp, args.alerts_out)
+    print(f"victim done: {report.recovered_rounds} recovered rounds, "
+          f"{len(report.alerts)} alerts, {dispatches} dispatches", flush=True)
     return 0
 
 
-def _run_victim_api(args: argparse.Namespace) -> int:
+def _serve_api(args: argparse.Namespace):
     """Child mode over HTTP: bind a port, publish it, serve the stream.
 
     The URL file is written atomically *after* the listener is up, so
@@ -143,9 +166,7 @@ def _run_victim_api(args: argparse.Namespace) -> int:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(server.url + "\n")
         os.replace(tmp, args.url_file)
-        report = service.run(source, collect_results=False)
-    print(f"victim done: {report.total_rounds} live rounds", flush=True)
-    return 0
+        return service.run(source, collect_results=False)
 
 
 def _unit_dirs(state_dir: str) -> List[str]:
@@ -181,6 +202,7 @@ def _spawn_victim(
     state_dir: str,
     args: argparse.Namespace,
     url_file: str = "",
+    alerts_out: str = "",
 ) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -203,6 +225,8 @@ def _spawn_victim(
     ]
     if url_file:
         command += ["--url-file", url_file]
+    if alerts_out:
+        command += ["--alerts-out", alerts_out]
     return subprocess.Popen(command, env=env, start_new_session=True)
 
 
@@ -253,6 +277,29 @@ def _compare(reference: Dict[str, list], drilled: Dict[str, list]) -> List[str]:
                             f"{unit} round [{w.start},{w.end}): matrix "
                             f"{wm.kpi} diverges beyond 1e-9"
                         )
+    return problems
+
+
+def _load_alerts(path: str) -> Dict[str, object]:
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _compare_alerts(reference: list, resumed: list) -> List[str]:
+    """Alert sequences must match in order, field for field."""
+    problems: List[str] = []
+    if len(reference) != len(resumed):
+        problems.append(
+            f"alert counts differ: reference={len(reference)} "
+            f"resumed={len(resumed)}"
+        )
+    for index, (want, got) in enumerate(zip(reference, resumed)):
+        if want != got:
+            problems.append(
+                f"alert {index} differs\n  reference: {want}\n"
+                f"  resumed:   {got}"
+            )
+            break
     return problems
 
 
@@ -331,8 +378,15 @@ def _run_drill(args: argparse.Namespace) -> int:
     )
     save_dataset(Dataset(name="recovery-drill", units=units), dataset_path)
 
+    reference_alerts = os.path.join(workdir, "reference-alerts.json")
+    resumed_alerts = os.path.join(workdir, "resumed-alerts.json")
     print(f"[drill] reference run -> {reference_state}", flush=True)
-    _wait(_spawn_victim(dataset_path, reference_state, args), "reference victim")
+    _wait(
+        _spawn_victim(
+            dataset_path, reference_state, args, alerts_out=reference_alerts
+        ),
+        "reference victim",
+    )
     reference = _histories(reference_state)
     final_tick = max(r.end for h in reference.values() for r in h)
     if final_tick <= KILL_AT_TICK:
@@ -386,8 +440,11 @@ def _run_drill(args: argparse.Namespace) -> int:
         )
 
     print(f"[drill] resume run <- {drill_state}", flush=True)
-    resume = _spawn_victim(dataset_path, drill_state, args, url_file)
+    resume = _spawn_victim(
+        dataset_path, drill_state, args, url_file, alerts_out=resumed_alerts
+    )
     _wait(resume, "resume victim")
+    resumed = _load_alerts(resumed_alerts)
     if pusher is not None:
         pusher.join(timeout=VICTIM_TIMEOUT)
         if pusher.is_alive():
@@ -403,15 +460,28 @@ def _run_drill(args: argparse.Namespace) -> int:
         print(f"[drill] pusher survived the kill: {stats.reconnects} "
               f"reconnects, {stats.posted} ticks posted, "
               f"{stats.stale} stale after replay-from-zero", flush=True)
+        cap_dispatches = -(-resumed["ticks"] // args.batch_ticks)
+        print(f"[drill] adaptive dispatch: {resumed['dispatches']} "
+              f"dispatches for {resumed['ticks']} ticks (the cap alone "
+              f"gives {cap_dispatches})", flush=True)
+        if resumed["dispatches"] <= cap_dispatches:
+            raise SystemExit(
+                "the served victim never dispatched on an idle feed; "
+                "adaptive dispatch was not exercised"
+            )
 
     problems = _compare(reference, _histories(drill_state))
+    problems += _compare_alerts(
+        _load_alerts(reference_alerts)["alerts"], resumed["alerts"]
+    )
     if problems:
         print("[drill] FAILED: restored history diverges", flush=True)
         for problem in problems:
             print(f"  - {problem}")
         return 1
     rounds = sum(len(h) for h in reference.values())
-    print(f"[drill] PASS: {rounds} rounds identical across "
+    print(f"[drill] PASS: {rounds} rounds and "
+          f"{len(resumed['alerts'])} alerts identical across "
           f"{len(reference)} units after kill + warm restart", flush=True)
     return 0
 
@@ -441,6 +511,7 @@ def main() -> int:
     parser.add_argument("--dataset", help=argparse.SUPPRESS)
     parser.add_argument("--state-dir", help=argparse.SUPPRESS)
     parser.add_argument("--url-file", default="", help=argparse.SUPPRESS)
+    parser.add_argument("--alerts-out", default="", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.victim:
         return _run_victim(args)

@@ -196,7 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--batch-ticks", type=int,
                        default=service_defaults.batch_ticks,
-                       help="ticks buffered per unit per worker round-trip")
+                       help="cap on ticks buffered per unit per worker "
+                            "round-trip; a network feed also dispatches "
+                            "whenever it goes idle")
     serve.add_argument("--queue-capacity", type=int,
                        default=service_defaults.queue_capacity,
                        help="per-unit ingest queue bound, in ticks")

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detector import UnitDetectionResult
 from repro.obs import runtime as obs
@@ -145,24 +145,35 @@ class UnitStore:
 
     # -- write path -------------------------------------------------------
 
-    def append_rounds(self, results: Sequence[UnitDetectionResult]) -> None:
-        """Group-commit completed rounds to the current WAL segment."""
+    def append_rounds(
+        self,
+        results: Sequence[UnitDetectionResult],
+        ordinals: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Group-commit completed rounds to the current WAL segment.
+
+        ``ordinals`` (one per round) records where in the run's tick
+        stream each round completed; recovery re-publishes rounds in that
+        order.  Records written without it replay by end tick.
+        """
         if not results:
             return
         # Healthy rounds shed their KCD evidence here, before it is even
         # encoded; only abnormal rounds pay for matrix serialization.
-        self._current_writer().append(
-            [
-                {
-                    "v": STATE_VERSION,
-                    "type": "round",
-                    "round": encode_result(
-                        r, include_matrices=bool(r.abnormal_databases)
-                    ),
-                }
-                for r in results
-            ]
-        )
+        payloads = [
+            {
+                "v": STATE_VERSION,
+                "type": "round",
+                "round": encode_result(
+                    r, include_matrices=bool(r.abnormal_databases)
+                ),
+            }
+            for r in results
+        ]
+        if ordinals is not None:
+            for payload, ordinal in zip(payloads, ordinals):
+                payload["ordinal"] = int(ordinal)
+        self._current_writer().append(payloads)
         newest = max(int(r.end) for r in results)
         seq = self._segment_seq
         self._segment_max_end[seq] = max(
@@ -297,12 +308,25 @@ class UnitStore:
 
     def load_history(self) -> List[UnitDetectionResult]:
         """The full recorded verdict history: archives + live segments."""
+        return [result for _, result in self.load_ordered_history()]
+
+    def load_ordered_history(
+        self,
+    ) -> List[Tuple[Optional[int], UnitDetectionResult]]:
+        """:meth:`load_history` with each round's stream ordinal.
+
+        The ordinal is ``None`` for records written before rounds
+        carried one.
+        """
         paths = (
             [self.archive_path]
             + [self._archived_path(s) for s in self._archived_segments()]
             + [self._segment_path(s) for s in self._segments()]
         )
-        return [decode_result(p["round"]) for p in self._read_rounds(paths)]
+        return [
+            (p.get("ordinal"), decode_result(p["round"]))
+            for p in self._read_rounds(paths)
+        ]
 
     def close(self) -> None:
         if self._writer is not None:

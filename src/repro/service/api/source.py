@@ -6,7 +6,10 @@ them to :class:`~repro.service.scheduler.DetectionService` in arrival
 order, satisfying the :class:`~repro.service.protocols.TickSource`
 protocol.  A single bounded arrival-order queue preserves whatever unit
 interleaving the collector chose — which is what lets a network replay of
-a dataset reproduce the in-process run bit-for-bit.
+a dataset reproduce the in-process run bit-for-bit.  A tick handed over
+with the queue empty behind it carries the ``idle_after`` burst-end
+hint, so the scheduler dispatches a trickling feed tick by tick instead
+of waiting for a full batch.
 
 Flow control is explicitly lossless: offers never block an HTTP thread
 and never drop.  When the queue is full the offer fails mid-batch with
@@ -26,6 +29,7 @@ before consuming any tick).
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import runtime as obs
@@ -260,4 +264,8 @@ class NetworkSource:
                 continue  # empty-and-open: poll again
             except QueueClosed:
                 return  # closed and fully drained
+            if not len(self._queue):
+                # The burst is over: tell the scheduler not to wait for
+                # a full batch that may be a second of arrivals away.
+                event = replace(event, idle_after=True)
             yield event

@@ -39,9 +39,14 @@ class ServiceConfig:
         detector serially in-process — no pickling, no IPC — and is the
         reference the parallel path must match bit-for-bit.
     batch_ticks:
-        Ticks buffered per unit before a worker round-trip.  Larger
-        batches amortize IPC per dispatch; smaller batches lower detection
-        latency.  The serial path is insensitive to this knob.
+        Cap on the ticks one unit buffers before a worker round-trip.
+        A batch also ends whenever an open-loop feed goes idle (a tick
+        carrying :attr:`~repro.service.sources.TickEvent.idle_after`),
+        so a lightly loaded network feed dispatches every arrival and
+        its verdicts wait milliseconds, not a full batch; closed-loop
+        replays never go idle and always batch at the cap, where larger
+        caps amortize per-dispatch cost on either pool.  Verdicts and
+        their publication order are the same for any cap.
     queue_capacity:
         Bound of each unit's ingest queue, in ticks.
     backpressure:

@@ -68,7 +68,15 @@ class TickSource(Protocol):
         ...
 
     def __iter__(self) -> Iterator[TickEvent]:
-        """Yield tick events; ``seq`` is per-unit gapless at the source."""
+        """Yield tick events; ``seq`` is per-unit gapless at the source.
+
+        An open-loop feed sets ``idle_after`` on a tick when nothing
+        else is queued behind it, and the scheduler dispatches right
+        away instead of waiting for a full batch.  Closed-loop sources
+        (replay, monitor) never set it, and wrappers pass it through
+        untouched, so the hint is a property of the events, not of the
+        source object.
+        """
         ...
 
 

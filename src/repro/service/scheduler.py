@@ -112,6 +112,25 @@ class ServiceReport:
         return sum(len(rounds) for rounds in self.results.values())
 
 
+class _QueuedTick:
+    """A tick waiting in the bridge, stamped with its place in the run.
+
+    ``ordinal`` counts every event the run consumed, replayed ones
+    included, so it is the tick's position in the stream whatever the
+    batch boundaries; ``offered_at`` starts the round's verdict-lag
+    clock.
+    """
+
+    __slots__ = ("unit", "seq", "sample", "ordinal", "offered_at")
+
+    def __init__(self, event: TickEvent, ordinal: int, offered_at: float):
+        self.unit = event.unit
+        self.seq = event.seq
+        self.sample = event.sample
+        self.ordinal = ordinal
+        self.offered_at = offered_at
+
+
 class _PersistenceDriver:
     """Scheduler-side durability: WAL appends per dispatch, periodic snapshots.
 
@@ -135,13 +154,19 @@ class _PersistenceDriver:
         self._since: Dict[str, int] = {name: 0 for name in units}
         self.snapshots_written = 0
 
-    def record(self, results: Dict[str, List[UnitDetectionResult]]) -> None:
+    def record(
+        self,
+        results: Dict[str, List[UnitDetectionResult]],
+        ordinals: Dict[str, List[int]],
+    ) -> None:
         with obs.span("persist.write"):
             due: List[str] = []
             for unit, unit_results in results.items():
                 if not unit_results:
                     continue
-                self._store.unit_store(unit).append_rounds(unit_results)
+                self._store.unit_store(unit).append_rounds(
+                    unit_results, ordinals[unit]
+                )
                 self._since[unit] += len(unit_results)
                 if self._since[unit] >= self._store.snapshot_every:
                     due.append(unit)
@@ -281,7 +306,7 @@ class DetectionService:
         interval = float(getattr(source, "interval_seconds", 5.0))
         store: Optional[FleetStateStore] = None
         states: Dict[str, Dict[str, Any]] = {}
-        recovered: Dict[str, List[UnitDetectionResult]] = {}
+        recovered: Dict[str, List[Tuple[Optional[int], UnitDetectionResult]]] = {}
         resume_tick: Dict[str, int] = {}
         pool_specs = specs
         if cfg.state_dir is not None:
@@ -344,8 +369,7 @@ class DetectionService:
                     self.coordinator.load_state(coordinator_state)
         if recovered:
             self._replay_history(
-                recovered, list(units), cfg.batch_ticks, pipeline, report,
-                collect_results,
+                recovered, list(units), pipeline, report, collect_results
             )
         persist = (
             _PersistenceDriver(store, pool, list(units), self.coordinator)
@@ -356,12 +380,14 @@ class DetectionService:
         take_actions = getattr(source, "take_actions", None)
         try:
             consumed: Dict[str, int] = {name: 0 for name in units}
-            # Ticks skipped during WAL replay still advance the dispatch
-            # cadence: batches must stay aligned to the absolute tick grid
-            # or a resumed run would batch (and therefore interleave alerts
-            # and feed tuning windows) differently from the uninterrupted
-            # run it continues.
+            # Ticks skipped during WAL replay still advance the batch cap,
+            # so a resumed run feeds tuning windows (and lands threshold
+            # swaps) on the same dispatches as the run it continues.
             phantom: Dict[str, int] = {name: 0 for name in units}
+            # Ticks handed to each unit's detector so far, on its absolute
+            # axis: where the next drained batch starts.
+            fed: Dict[str, int] = {name: resume_tick.get(name, 0) for name in units}
+            ordinal = 0
             for event in source:
                 replayed = (
                     bool(resume_tick)
@@ -379,6 +405,7 @@ class DetectionService:
                 if max_ticks is not None and consumed[event.unit] >= max_ticks:
                     continue
                 consumed[event.unit] += 1
+                ordinal += 1
                 if channel is not None:
                     # Replayed ticks feed the channel too: its counters
                     # and baselines are in-memory only, so a warm restart
@@ -388,19 +415,24 @@ class DetectionService:
                     phantom[event.unit] += 1
                 else:
                     with obs.span("queue.offer"):
-                        bridge.offer(event, timeout=cfg.put_timeout_seconds)
+                        bridge.offer(
+                            _QueuedTick(event, ordinal, time.perf_counter()),
+                            timeout=cfg.put_timeout_seconds,
+                        )
                 pending = bridge.pending(event.unit) + phantom[event.unit]
-                if pending >= cfg.batch_ticks:
+                # Group commit: a batch ends when the feed goes idle, or
+                # at the cap when it never does (closed-loop replay).
+                if pending >= cfg.batch_ticks or event.idle_after:
                     self._dispatch_round(
                         bridge, pool, pipeline, report, collect_results,
-                        persist, channel,
+                        fed, persist, channel,
                     )
                     for name in phantom:
                         phantom[name] = 0
             # Source exhausted: flush whatever is still queued.
             self._dispatch_round(
-                bridge, pool, pipeline, report, collect_results, persist,
-                channel,
+                bridge, pool, pipeline, report, collect_results, fed,
+                persist, channel,
             )
             if self.coordinator is not None:
                 self.coordinator.drain()
@@ -439,7 +471,7 @@ class DetectionService:
         self, store: FleetStateStore, specs: List[UnitSpec]
     ) -> Tuple[
         Dict[str, Dict[str, Any]],
-        Dict[str, List[UnitDetectionResult]],
+        Dict[str, List[Tuple[Optional[int], UnitDetectionResult]]],
         Dict[str, int],
     ]:
         """Rebuild per-unit state from snapshot + WAL (crash-warm restart).
@@ -449,10 +481,11 @@ class DetectionService:
         rounds newer than the snapshot cursor through
         :meth:`DBCatcher.apply_result` — no recomputation — and note the
         tick ingestion must resume from.  The full recorded history comes
-        back separately so the alert/incident pipeline can be replayed.
+        back separately, each round with its stream ordinal, so the
+        alert/incident pipeline can be replayed.
         """
         states: Dict[str, Dict[str, Any]] = {}
-        recovered: Dict[str, List[UnitDetectionResult]] = {}
+        recovered: Dict[str, List[Tuple[Optional[int], UnitDetectionResult]]] = {}
         resume: Dict[str, int] = {}
         total = 0
         for spec in specs:
@@ -474,8 +507,8 @@ class DetectionService:
             states[spec.name] = detector.to_state()
             resume[spec.name] = detector.next_tick
             recovered[spec.name] = [
-                result
-                for result in unit_store.load_history()
+                (ordinal, result)
+                for ordinal, result in unit_store.load_ordered_history()
                 if result.end <= detector.cursor
             ]
             total += len(recovered[spec.name])
@@ -485,9 +518,8 @@ class DetectionService:
 
     def _replay_history(
         self,
-        recovered: Dict[str, List[UnitDetectionResult]],
+        recovered: Dict[str, List[Tuple[Optional[int], UnitDetectionResult]]],
         unit_order: List[str],
-        batch_ticks: int,
         pipeline: AlertPipeline,
         report: ServiceReport,
         collect_results: bool,
@@ -495,20 +527,24 @@ class DetectionService:
         """Re-publish recovered rounds through the pipeline (sinks muted).
 
         Rounds are interleaved exactly as the original run published
-        them: grouped by the dispatch that completed them (a round ends
-        at tick ``e``, so it completed on dispatch ``ceil(e /
-        batch_ticks)``), units in ingestion order within a dispatch.
-        Incident ids, rate-limiter decisions and counters therefore land
+        them: in the stream order of their last tick, the ordinal their
+        WAL record carries.  Records written before rounds carried one
+        replay first, by end tick and then ingestion order.  Incident
+        ids, rate-limiter decisions and counters therefore land
         identically to the uninterrupted run.
         """
         order = {name: index for index, name in enumerate(unit_order)}
-        merged: List[Tuple[int, int, int, str, UnitDetectionResult]] = []
-        for name, results in recovered.items():
-            for result in results:
-                dispatch = -(-result.end // batch_ticks)
-                merged.append((dispatch, order[name], result.end, name, result))
-        merged.sort(key=lambda item: item[:3])
-        for _, _, _, name, result in merged:
+        merged: List[Tuple[Tuple[int, int, int], str, UnitDetectionResult]] = []
+        for name, rounds in recovered.items():
+            for ordinal, result in rounds:
+                key = (
+                    (0, result.end, order[name])
+                    if ordinal is None
+                    else (1, ordinal, 0)
+                )
+                merged.append((key, name, result))
+        merged.sort(key=lambda item: item[0])
+        for _, name, result in merged:
             alert = pipeline.publish(name, result, replay=True)
             if alert is not None:
                 report.alerts.append(alert)
@@ -571,18 +607,31 @@ class DetectionService:
         pipeline: AlertPipeline,
         report: ServiceReport,
         collect_results: bool,
+        fed: Dict[str, int],
         persist: Optional[_PersistenceDriver] = None,
         channel: Optional["LogChannel"] = None,
     ) -> None:
-        """Drain every unit's backlog and run one pool round-trip."""
-        batches: Dict[str, np.ndarray] = {}
+        """Drain every unit's backlog, run one pool round-trip, publish.
+
+        Rounds publish in the stream order of their last tick, not unit
+        by unit.  A round completes in the dispatch that carries its last
+        tick and every dispatch drains a prefix of the stream, so this is
+        the order in which rounds completed in the stream: alerts,
+        incidents and listeners see the same sequence whatever the batch
+        boundaries.
+        """
+        drained: Dict[str, List[_QueuedTick]] = {}
         for unit in bridge.unit_names:
-            events: List[TickEvent] = bridge.drain(unit)
-            if events:
-                batches[unit] = np.stack([event.sample for event in events])
+            ticks = bridge.drain(unit)
+            if ticks:
+                drained[unit] = ticks
         self.metrics.gauge("queue_backlog_total").set(bridge.total_pending())
-        if not batches:
+        if not drained:
             return
+        batches = {
+            unit: np.stack([tick.sample for tick in ticks])
+            for unit, ticks in drained.items()
+        }
         if self.coordinator is not None:
             # Install any finished background retrains now, before the
             # round-trip: swaps land between rounds by construction.
@@ -591,29 +640,46 @@ class DetectionService:
                 self.coordinator.observe_batch(unit, block)
         with obs.span("dispatch.round"):
             results = pool.dispatch(batches)
+        # Results count ticks on each detector's absolute axis, where this
+        # batch starts at fed[unit]; that finds each round's last tick.
+        placed: List[Tuple[int, float, str, UnitDetectionResult]] = []
+        ordinals: Dict[str, List[int]] = {}
+        for unit, ticks in drained.items():
+            base = fed[unit]
+            fed[unit] = base + len(ticks)
+            ordinals[unit] = []
+            for result in results[unit]:
+                last = ticks[result.end - 1 - base]
+                placed.append((last.ordinal, last.offered_at, unit, result))
+                ordinals[unit].append(last.ordinal)
+        placed.sort(key=lambda item: item[0])
         if persist is not None:
             # Verdicts become durable before they become notifications.
-            persist.record(results)
-        for unit, unit_results in results.items():
-            for result in unit_results:
-                fused = log_attribution = None
-                if channel is not None:
-                    fused, log_attribution = channel.fuse(unit, result)
-                alert = pipeline.publish(
-                    unit, result, fused=fused,
-                    log_attribution=log_attribution,
-                )
-                if alert is not None:
-                    report.alerts.append(alert)
-                if collect_results:
-                    report.results[unit].append(result)
-                    if fused is not None:
-                        report.fused_verdicts.setdefault(unit, []).append(
-                            fused
-                        )
-                if self.result_listener is not None:
-                    self.result_listener(unit, result)
-            if self.coordinator is not None:
+            persist.record(results, ordinals)
+        lag = (
+            obs.histogram("alerts.verdict_lag_seconds")
+            if obs.is_enabled()
+            else None
+        )
+        for _, offered_at, unit, result in placed:
+            fused = log_attribution = None
+            if channel is not None:
+                fused, log_attribution = channel.fuse(unit, result)
+            alert = pipeline.publish(
+                unit, result, fused=fused, log_attribution=log_attribution,
+            )
+            if alert is not None:
+                report.alerts.append(alert)
+            if collect_results:
+                report.results[unit].append(result)
+                if fused is not None:
+                    report.fused_verdicts.setdefault(unit, []).append(fused)
+            if self.result_listener is not None:
+                self.result_listener(unit, result)
+            if lag is not None:
+                lag.observe(time.perf_counter() - offered_at)
+        if self.coordinator is not None:
+            for unit, unit_results in results.items():
                 self.coordinator.observe_results(unit, unit_results)
 
 

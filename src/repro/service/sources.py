@@ -25,7 +25,7 @@ numbers, which is what the bridge's loss accounting keys on.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -69,12 +69,19 @@ class TickEvent:
         tick (empty unless the source carries a logbook).  They ride
         the event for the scheduler-side log channel only — workers
         never see them, so the correlation path is untouched.
+    idle_after:
+        Burst-end hint: the source had nothing more queued when it
+        handed this tick over, so the scheduler dispatches now instead
+        of waiting for a full batch.  Only open-loop feeds set it (see
+        :class:`~repro.service.api.NetworkSource`); it is excluded from
+        equality and never goes on the wire.
     """
 
     unit: str
     seq: int
     sample: np.ndarray
     logs: Tuple["LogEvent", ...] = ()
+    idle_after: bool = field(default=False, compare=False)
 
 
 class ReplaySource:
