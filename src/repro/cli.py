@@ -26,7 +26,8 @@ code:
   instead runs the chaos-based attribution precision harness;
 * ``tune``     — learn detection thresholds over a saved labelled
   dataset with the genetic searcher (vectorized objective, ``--jobs``
-  parallel fitness, ``--checkpoint``/``--resume`` for long runs);
+  workers each owning a shard of the units, ``--checkpoint``/``--resume``
+  for long runs);
 * ``info``     — show the KPI registry, the default detector
   configuration and the service defaults.
 
@@ -398,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="search seed (the result is identical for every "
                            "--jobs value and across checkpoint/resume splits)")
     tune.add_argument("--jobs", type=int, default=1,
-                      help="fitness-evaluation worker processes (1 = serial)")
+                      help="worker processes; each builds and scores a "
+                           "shard of the replay windows (1 = in-process; "
+                           "never more than one per unit)")
     tune.add_argument("--checkpoint", default=None, metavar="PATH",
                       help="snapshot the search state to this JSON file")
     tune.add_argument("--checkpoint-every", type=int, default=1,

@@ -24,7 +24,6 @@ from repro.eval.metrics import ConfusionCounts
 
 __all__ = [
     "label_segments",
-    "adjusted_confusion_from_spans",
     "adjusted_confusion_from_windows",
     "adjusted_confusion_from_records",
 ]
@@ -71,34 +70,6 @@ def _adjust_one_database(
         else:
             tn += 1
     return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-
-
-def adjusted_confusion_from_spans(
-    spans: Sequence[Tuple[int, int]],
-    predictions: np.ndarray,
-    labels_1d: np.ndarray,
-) -> ConfusionCounts:
-    """Segment-adjusted confusion for one database's window verdicts.
-
-    The spans-level entry point: callers that already hold ``(start, end)``
-    window spans and boolean verdicts (e.g. the vectorized tuning
-    objective, which never materializes :class:`JudgementRecord` objects)
-    score them with exactly the convention
-    :func:`adjusted_confusion_from_records` applies to detector histories.
-
-    Parameters
-    ----------
-    spans:
-        ``[start, end)`` tick spans of one database's judgement windows.
-    predictions:
-        Boolean abnormal-verdicts, one per span.
-    labels_1d:
-        Ground truth for the database, shape ``(n_ticks,)``.
-    """
-    pred = np.asarray(predictions, dtype=bool)
-    if pred.shape != (len(spans),):
-        raise ValueError(f"predictions must have one entry per span, got {pred.shape}")
-    return _adjust_one_database(spans, pred, labels_1d)
 
 
 def adjusted_confusion_from_windows(

@@ -14,8 +14,10 @@ optimize the same detection-F-Measure objective over recent labelled data:
 
 Fitness evaluation scales through
 :class:`~repro.tuning.vectorized.VectorizedObjective` (one batched-engine
-pass per replay window, whole populations thresholded via broadcasting)
-and the GA's ``jobs``/checkpoint/resume support
+pass per replay window, whole populations scored in array passes), the
+GA's window-sharded ``jobs`` pool
+(:class:`~repro.tuning.genetic.PopulationEvaluator`) and its
+checkpoint/resume support
 (:class:`~repro.tuning.checkpoint.TuningCheckpoint`).
 """
 

@@ -15,8 +15,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import DBCatcherConfig, LEARNING_RATE
-from repro.tuning.genetic import Objective, SearchTrace
+from repro.tuning.genetic import SearchTrace
 from repro.tuning.genome import ThresholdGenome
+from repro.tuning.objective import ReplayObjective
 from repro.tuning.vectorized import VectorizedObjective
 
 __all__ = ["AnnealingThresholdLearner"]
@@ -71,7 +72,7 @@ class AnnealingThresholdLearner:
         genome, _ = self.search(VectorizedObjective(config, values, labels))
         return genome.apply_to(config)
 
-    def search(self, objective: Objective) -> Tuple[ThresholdGenome, float]:
+    def search(self, objective: ReplayObjective) -> Tuple[ThresholdGenome, float]:
         """Run the annealing schedule; return the best genome visited."""
         rng = np.random.default_rng(self._seed)
         current = ThresholdGenome.from_config(objective.config)

@@ -9,15 +9,15 @@ The population evolves for ``n_iterations`` generations.  Each generation:
    (Eq. 6), crossed over, and mutated with probability ``beta`` to refill
    the population to its constant size.
 
-Fitness evaluation is pluggable along two axes, both preserving the
-exact serial search trajectory:
-
-* objectives exposing ``evaluate_population`` (the vectorized objective)
-  are scored a whole population per call instead of genome-by-genome;
-* ``jobs > 1`` fans un-memoized genomes out over a process pool.  The GA
-  generator never leaves the parent process and pool results come back
-  in submission order, so the evolved population — and therefore the
-  best genome — is identical for every ``jobs`` value.
+Fitness is scored a whole population per call, as integer confusion
+counts (:meth:`~repro.tuning.objective.ReplayObjective.confusion_counts`).
+With ``jobs > 1`` the :class:`PopulationEvaluator` shards the *replay
+windows* (not the genomes) over worker processes: each worker owns a
+contiguous, point-balanced shard — built in the worker when the learner
+is called with raw data, inherited through fork when ``search`` gets a
+prebuilt objective — and returns its counts every generation.  The
+parent sums them, so fitness, the GA generator's draws and therefore the
+best genome are identical for every ``jobs`` value.
 
 Long searches can snapshot to a :class:`~repro.tuning.checkpoint.\
 TuningCheckpoint` every ``checkpoint_every`` generations and resume
@@ -28,9 +28,10 @@ an uninterrupted one.
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.pool
+import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from multiprocessing.connection import wait
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,122 +39,176 @@ from repro.core.config import DBCatcherConfig, LEARNING_RATE
 from repro.obs import runtime as obs
 from repro.tuning.checkpoint import TuningCheckpoint
 from repro.tuning.genome import ThresholdGenome
+from repro.tuning.objective import COUNT_FIELDS, DeferredObjective, ReplayObjective
 from repro.tuning.vectorized import VectorizedObjective
 
 __all__ = ["GeneticThresholdLearner", "PopulationEvaluator", "SearchTrace"]
 
 
-class Objective(Protocol):
-    """Fitness callable for a single genome over a labelled replay window.
-
-    ``config`` is the incumbent the searches start from; both the
-    vectorized objective and the replay objective satisfy this.
-    """
-
-    @property
-    def config(self) -> DBCatcherConfig: ...
-
-    @property
-    def n_kpis(self) -> int: ...
-
-    def __call__(self, genome: ThresholdGenome) -> float: ...
-
-# Per-process objective installed by the pool initializer.  Workers are
-# forked (or receive the objective through initargs under spawn), so the
-# parent's objective — including a vectorized objective's precomputed
-# score lattice — is shared without re-serializing it per task.
-_WORKER_OBJECTIVE: Optional[Objective] = None
+def _shard_bounds(points: Sequence[int], n_shards: int) -> List[Tuple[int, int]]:
+    """``n_shards`` contiguous, non-empty window ranges of near-equal points."""
+    cumulative = np.cumsum(points)
+    cuts = [0]
+    for shard in range(1, n_shards):
+        target = cumulative[-1] * shard / n_shards
+        cut = int(np.searchsorted(cumulative, target))  # cumulative[cut] >= target
+        if cut > 0 and target - cumulative[cut - 1] < cumulative[cut] - target:
+            cut -= 1
+        # Leave at least one window for this shard and each one after it.
+        cuts.append(min(max(cut + 1, cuts[-1] + 1), len(points) - (n_shards - shard)))
+    cuts.append(len(points))
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _init_worker(objective: Objective) -> None:
-    global _WORKER_OBJECTIVE
-    _WORKER_OBJECTIVE = objective
+def _shard_main(conn, objective: ReplayObjective, lo: int, hi: int) -> None:
+    """Shard worker: own windows ``[lo, hi)``, count each population sent."""
+    try:
+        shard = objective.shard(lo, hi)
+        while True:
+            genomes = conn.recv()
+            if genomes is None:
+                return
+            conn.send(("counts", shard.confusion_counts(genomes)))
+    except EOFError:  # the parent went away
+        return
+    except Exception:
+        conn.send(("error", traceback.format_exc()))
 
 
-def _evaluate_chunk(genomes: Sequence[ThresholdGenome]) -> List[float]:
-    objective = _WORKER_OBJECTIVE
-    assert objective is not None, "worker pool initializer did not run"
-    return _run_objective(objective, list(genomes))
+class _Shard:
+    """Parent-side handle of one shard worker."""
 
+    def __init__(
+        self, context, index: int, objective: ReplayObjective, lo: int, hi: int
+    ):
+        self.index = index
+        self.windows = (lo, hi)
+        self.conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_shard_main, args=(child, objective, lo, hi), daemon=True
+        )
+        self.process.start()
+        child.close()
 
-def _genome_key(genome: ThresholdGenome) -> Tuple:
-    # Mirrors the objectives' internal memo key so the evaluator's
-    # parent-side cache and an objective's own cache agree on identity.
-    return (genome.alphas, round(genome.theta, 6), genome.tolerance)
+    def describe(self) -> str:
+        lo, hi = self.windows
+        return f"tuning shard {self.index} (replay windows {lo}..{hi - 1})"
+
+    def died(self) -> RuntimeError:
+        self.process.join(timeout=5.0)
+        return RuntimeError(
+            f"{self.describe()} died (exit code {self.process.exitcode})"
+        )
+
+    def send(self, genomes: Optional[Sequence[ThresholdGenome]]) -> None:
+        try:
+            self.conn.send(genomes)
+        except OSError as error:  # BrokenPipeError: the worker is gone
+            if self.conn.poll():
+                self.receive()  # raises the worker's own error, if it sent one
+            raise self.died() from error
+
+    def receive(self) -> np.ndarray:
+        try:
+            kind, payload = self.conn.recv()
+        except (EOFError, OSError) as error:
+            raise self.died() from error
+        if kind == "error":
+            raise RuntimeError(f"{self.describe()} failed:\n{payload}")
+        return payload
+
+    def stop(self) -> None:
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+        self.conn.close()
 
 
 class PopulationEvaluator:
-    """Order-preserving population fitness with an optional process pool.
+    """Order-preserving population fitness, optionally sharded by window.
 
-    The parent keeps a fitness memo; only genomes never seen before are
-    (re-)evaluated.  With ``jobs > 1`` the unseen genomes are split into
-    contiguous chunks and mapped over a pool whose workers each hold one
-    copy of the objective — ``pool.map`` returns chunks in submission
-    order, so results are deterministic regardless of worker scheduling.
+    With ``jobs == 1`` (or a single replay window) one in-process shard,
+    ``objective.shard(0, n_windows)``, covers every window.  With ``jobs >
+    1`` it forks ``min(jobs, n_windows)`` workers over contiguous shards of
+    replay windows, balanced by data points; each owns its shard's
+    objective for the evaluator's lifetime.  Per call, the objective's
+    memo picks the unseen genomes, every shard counts them, and the parent
+    sums the integer counts — so fitness is identical for any ``jobs``.
+    A worker that dies is noticed as soon as the OS reports it (EOF on its
+    pipe or its process sentinel) and fails the call with an error naming
+    the shard.
     """
 
-    def __init__(self, objective: Objective, jobs: int = 1):
+    def __init__(self, objective: ReplayObjective, jobs: int = 1):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self._objective = objective
         self._jobs = jobs
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-        self._cache: Dict[Tuple, float] = {}
+        #: The in-process shard when no worker is forked.
+        self._local: Optional[ReplayObjective] = None
+        self._shards: List[_Shard] = []
 
     def __enter__(self) -> "PopulationEvaluator":
-        if self._jobs > 1:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else None
-            context = multiprocessing.get_context(method)
-            self._pool = context.Pool(
-                processes=self._jobs,
-                initializer=_init_worker,
-                initargs=(self._objective,),
-            )
+        points = self._objective.window_points()
+        n_shards = min(self._jobs, len(points))
+        if n_shards == 1:
+            self._local = self._objective.shard(0, len(points))
+            return self
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if "fork" in methods else None)
+        try:
+            for index, (lo, hi) in enumerate(_shard_bounds(points, n_shards)):
+                self._shards.append(_Shard(context, index, self._objective, lo, hi))
+        except BaseException:
+            self.close()
+            raise
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        shards, self._shards = self._shards, []
+        for shard in shards:
+            shard.stop()
+        self._local = None
+
+    def crash_shard(self, index: int) -> None:
+        """Test hook: SIGKILL shard ``index``'s worker, as a segfault would."""
+        process = self._shards[index].process
+        process.kill()
+        process.join()
 
     def __call__(self, population: Sequence[ThresholdGenome]) -> List[float]:
-        missing: List[ThresholdGenome] = []
-        missing_keys = set()
-        for genome in population:
-            key = _genome_key(genome)
-            if key not in self._cache and key not in missing_keys:
-                missing_keys.add(key)
-                missing.append(genome)
-        if missing:
-            for genome, fitness in zip(missing, self._evaluate(missing)):
-                self._cache[_genome_key(genome)] = fitness
-        return [self._cache[_genome_key(genome)] for genome in population]
+        fitness = self._objective._memoized(population, self._counts)
+        return [float(f) for f in fitness]
 
-    def _evaluate(self, genomes: List[ThresholdGenome]) -> List[float]:
-        if self._pool is None:
-            return _run_objective(self._objective, genomes)
-        n_chunks = min(self._jobs, len(genomes))
-        bounds = np.linspace(0, len(genomes), n_chunks + 1).astype(int)
-        chunks = [
-            genomes[bounds[i] : bounds[i + 1]]
-            for i in range(n_chunks)
-            if bounds[i] < bounds[i + 1]
-        ]
-        results: List[float] = []
-        for chunk_result in self._pool.map(_evaluate_chunk, chunks):
-            results.extend(chunk_result)
-        return results
-
-
-def _run_objective(objective: Objective, genomes: List[ThresholdGenome]) -> List[float]:
-    if isinstance(objective, VectorizedObjective):
-        return [float(f) for f in objective.evaluate_population(genomes)]
-    return [float(objective(genome)) for genome in genomes]
+    def _counts(self, genomes: Sequence[ThresholdGenome]) -> np.ndarray:
+        """Every shard's counts for ``genomes``, summed."""
+        if self._local is not None:
+            return self._local.confusion_counts(genomes)
+        if not self._shards:
+            raise RuntimeError("PopulationEvaluator used outside its with-block")
+        genomes = list(genomes)
+        for shard in self._shards:
+            shard.send(genomes)
+        total = np.zeros((len(genomes), len(COUNT_FIELDS)), dtype=np.int64)
+        waiting = list(self._shards)
+        while waiting:
+            wait([s.conn for s in waiting] + [s.process.sentinel for s in waiting])
+            for shard in list(waiting):
+                # poll() is also true at EOF, where receive() raises.
+                if shard.conn.poll():
+                    total += shard.receive()
+                    waiting.remove(shard)
+                elif not shard.process.is_alive():
+                    raise shard.died()
+        return total
 
 
 @dataclass(frozen=True)
@@ -259,17 +314,18 @@ class GeneticThresholdLearner:
         labels: np.ndarray,
     ) -> DBCatcherConfig:
         """Learn thresholds over a replay window; return the tuned config."""
-        genome, _ = self.search(VectorizedObjective(config, values, labels))
+        objective = DeferredObjective(VectorizedObjective, config, values, labels)
+        genome, _ = self.search(objective)
         return genome.apply_to(config)
 
-    def search(self, objective: Objective) -> Tuple[ThresholdGenome, float]:
+    def search(self, objective: ReplayObjective) -> Tuple[ThresholdGenome, float]:
         """Run Algorithm 2 and return the historically best genome."""
         with PopulationEvaluator(objective, jobs=self.jobs) as evaluate:
             with obs.span("tuning.search"):
                 return self._search(objective, evaluate)
 
     def _search(
-        self, objective: Objective, evaluate: PopulationEvaluator
+        self, objective: ReplayObjective, evaluate: PopulationEvaluator
     ) -> Tuple[ThresholdGenome, float]:
         state = self._load_checkpoint()
         if state is not None:

@@ -12,8 +12,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import DBCatcherConfig
-from repro.tuning.genetic import Objective, SearchTrace
+from repro.tuning.genetic import SearchTrace
 from repro.tuning.genome import ThresholdGenome
+from repro.tuning.objective import ReplayObjective
 from repro.tuning.vectorized import VectorizedObjective
 
 __all__ = ["RandomThresholdLearner"]
@@ -48,7 +49,7 @@ class RandomThresholdLearner:
         genome, _ = self.search(VectorizedObjective(config, values, labels))
         return genome.apply_to(config)
 
-    def search(self, objective: Objective) -> Tuple[ThresholdGenome, float]:
+    def search(self, objective: ReplayObjective) -> Tuple[ThresholdGenome, float]:
         """Evaluate random genomes; return the best one seen."""
         rng = np.random.default_rng(self._seed)
         best = ThresholdGenome.from_config(objective.config)

@@ -16,42 +16,42 @@ and the Fig. 7 state machine (tolerance count) do.
    for each ``(start, expansion)`` pair run one shared
    :class:`~repro.engine.batched.BatchedEngine` pass — whose window cache
    reuses normalized rows and prefix sums across the same-start growing
-   windows — and store the aggregated peer-score array produced by
-   Algorithm 1's ``Search``/aggregate steps (via
+   windows — and keep the aggregated peer scores produced by Algorithm
+   1's ``Search``/aggregate steps (via
    :func:`~repro.core.levels.calculate_levels`, so the arithmetic is the
-   detector's own).
-2. **Evaluate** (per population): broadcast the whole population's
-   thresholds against the cached score tensors to get every genome's
-   per-database state at every ``(start, expansion)`` in one numpy pass,
-   then walk each genome's round lattice — different thresholds resolve
-   rounds at different window sizes, so the cursor path is genome-specific
-   — and score the resulting spans with the same segment-adjusted
-   convention the replay objective uses.
+   detector's own).  Each replay window stacks its lattice into arrays:
+   scores ``(S starts, E expansions, D, K)``, the per-database active
+   mask, the window ends, a "has correlation" flag, and ``seg_id[s, e,
+   d]`` — the first label segment the span ``[s, s + size_e)`` overlaps
+   for database ``d`` — which is genome-independent too.
+2. **Evaluate** (per population, all genomes at once): a loop over the
+   ``E`` expansions thresholds that expansion's scores for the whole
+   population — every ``(genome, start, database)`` Fig. 7 state — and
+   resolves every ``(genome, start)`` round together (where it ends, and
+   each database's record and verdict), stopping once every round is
+   resolved; at most ``n_ticks / W`` vectorized steps walk every genome's
+   cursor path through the lattice; and ``bincount``\\ s over the records
+   on those paths give each genome's segment-adjusted TP/FP/TN/FN.
 
-The result is bit-identical fitness to :class:`DetectionObjective` (the
-differential tests pin this) at a per-genome cost of a cheap lattice walk
-instead of a full detector replay.
+The counts are integers, so fitness is bit-identical to
+:class:`DetectionObjective` (the differential tests pin the counts
+themselves) at the cost of a few array passes per population instead of
+a detector replay per genome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple, cast
 
 import numpy as np
 
 from repro.core.config import DBCatcherConfig
 from repro.core.levels import calculate_levels
-from repro.eval.adjust import adjusted_confusion_from_spans
-from repro.eval.metrics import ConfusionCounts, scores_from_confusion
+from repro.eval.adjust import label_segments
 from repro.tuning.genome import ThresholdGenome
+from repro.tuning.objective import COUNT_FIELDS, ReplayObjective
 
 __all__ = ["VectorizedObjective"]
-
-_HEALTHY = 0
-_OBSERVABLE = 1
-_ABNORMAL = 2
-
 
 def _window_sizes(config: DBCatcherConfig) -> Tuple[int, ...]:
     """The flexible window's size ladder ``W, W + Delta, ..., W_M``."""
@@ -61,21 +61,8 @@ def _window_sizes(config: DBCatcherConfig) -> Tuple[int, ...]:
     return tuple(sizes)
 
 
-@dataclass(frozen=True)
-class _WindowFacts:
-    """Threshold-independent facts about one ``(round start, size)`` window.
-
-    ``scores`` is ``None`` when fewer than two databases have finite data
-    over the window — the detector resolves such a round immediately, so
-    no correlation pass ever runs for it.
-    """
-
-    round_active: np.ndarray
-    scores: Optional[np.ndarray]
-
-
 class _ReplayPlan:
-    """Precomputed round-start lattice for one replay window (one unit)."""
+    """One replay window's round lattice, stacked into arrays."""
 
     def __init__(self, values: np.ndarray, labels: np.ndarray, config: DBCatcherConfig):
         # Local import: repro.engine imports repro.core.config, and this
@@ -83,31 +70,42 @@ class _ReplayPlan:
         # lazy import keeps the import graph acyclic.
         from repro.engine.base import make_engine
 
-        self.labels = labels
-        self.n_databases, _, self.n_ticks = values.shape
-        sizes = _window_sizes(config)
+        n_databases, n_kpis, n_ticks = values.shape
+        self.sizes = _window_sizes(config)
+        # Every round start reachable from tick 0: a round starting at
+        # ``t`` ends at ``t + size_e`` for some expansion ``e``.
+        reachable = np.zeros(n_ticks + 1, dtype=bool)
+        reachable[0] = True
+        starts: List[int] = []
+        for start in range(n_ticks - self.sizes[0] + 1):
+            if reachable[start]:
+                starts.append(start)
+                for size in self.sizes:
+                    if start + size <= n_ticks:
+                        reachable[start + size] = True
+        n_starts, n_sizes = len(starts), len(self.sizes)
+        #: Tick -> lattice row of the round starting there, ``-1`` where
+        #: no round can start (unreachable, or too close to the end).
+        self.start_index = np.full(n_ticks + 1, -1, dtype=np.int64)
+        self.start_index[starts] = np.arange(n_starts)
+        self.ends = np.asarray(starts)[:, None] + np.asarray(self.sizes)[None, :]
+        self.fits = self.ends <= n_ticks
+        self.scores = np.full((n_starts, n_sizes, n_databases, n_kpis), np.nan)
+        self.active = np.zeros((n_starts, n_sizes, n_databases), dtype=bool)
+        self.has_correlation = np.zeros((n_starts, n_sizes), dtype=bool)
+
         engine = make_engine(config.backend)
         finite = np.isfinite(values)
-        #: start tick -> per-expansion facts (shorter than ``sizes`` when
-        #: the replay ends before the larger expansions fit).
-        self.windows: Dict[int, List[_WindowFacts]] = {}
-        frontier = [0]
-        seen = {0}
-        while frontier:
-            start = frontier.pop()
-            if start + sizes[0] > self.n_ticks:
-                continue
-            lattice: List[_WindowFacts] = []
-            for size in sizes:
+        for row, start in enumerate(starts):
+            for expansion, size in enumerate(self.sizes):
                 end = start + size
-                if end > self.n_ticks:
+                if end > n_ticks:
                     break
-                if end not in seen:
-                    seen.add(end)
-                    frontier.append(end)
                 round_active = finite[:, :, start:end].all(axis=(1, 2))
+                self.active[row, expansion] = round_active
                 if int(round_active.sum()) < 2:
-                    lattice.append(_WindowFacts(round_active, None))
+                    # The detector resolves such a round at once: no
+                    # correlation pass ever runs for it.
                     continue
                 matrices = engine.matrices(
                     values[:, :, start:end],
@@ -123,114 +121,60 @@ class _ReplayPlan:
                 # call also computes depend on the template thresholds and
                 # are discarded; only the scores are genome-independent.
                 levels = calculate_levels(matrices, config, active=round_active)
-                lattice.append(_WindowFacts(round_active, levels.scores))
-            self.windows[start] = lattice
+                self.scores[row, expansion] = levels.scores
+                self.has_correlation[row, expansion] = True
         engine.reset()
 
+        # seg_id[s, e, d]: the first label segment of database ``d`` that
+        # the span ``[start, end)`` overlaps, numbered across databases;
+        # -1 outside every segment.  Segments are sorted and disjoint, so
+        # the first overlapping one is the first whose end lies past
+        # ``start``, provided it begins before ``end``.
+        self.seg_id = np.full((n_starts, n_sizes, n_databases), -1, dtype=np.int64)
+        span_starts = np.broadcast_to(np.asarray(starts)[:, None], self.ends.shape)
+        self.n_segments = 0
+        for db in range(n_databases):
+            segments = np.asarray(label_segments(labels[db]), dtype=np.int64)
+            if segments.size == 0:
+                continue
+            first = np.searchsorted(segments[:, 1], span_starts, side="right")
+            capped = np.minimum(first, len(segments) - 1)
+            overlaps = (first < len(segments)) & (segments[capped, 0] < self.ends)
+            self.seg_id[:, :, db] = np.where(overlaps, capped + self.n_segments, -1)
+            self.n_segments += len(segments)
 
-class VectorizedObjective:
-    """Drop-in replacement for ``DetectionObjective`` with batched fitness.
-
-    Accepts the same constructor arguments and exposes the same surface
-    (``config``, ``n_kpis``, ``evaluations``, per-genome ``__call__``),
-    plus :meth:`evaluate_population` which scores a whole population in
-    one broadcast pass over the precomputed score tensors.
-
-    The instance holds only plain arrays and the config after
-    construction, so it pickles cheaply across the parallel evaluator's
-    process boundary (and fork-based workers inherit the precomputed
-    lattice for free).
-    """
-
-    def __init__(
+    def _states(
         self,
+        expansion: int,
+        alphas: np.ndarray,
+        lows: np.ndarray,
+        tolerances: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fig. 7 ABNORMAL and OBSERVABLE masks of every ``(genome, start,
+        database)`` at ``expansion``, counted one KPI at a time so nothing
+        larger than ``(n_genomes, n_starts, n_databases)`` is allocated."""
+        scores = self.scores[:, expansion]
+        shape = (len(alphas),) + scores.shape[:-1]
+        extreme = np.zeros(shape, dtype=np.int32)
+        slight = np.zeros(shape, dtype=np.int32)
+        for kpi in range(scores.shape[-1]):
+            column = scores[None, :, :, kpi]
+            level1 = column < lows[:, kpi, None, None]
+            level3 = column >= alphas[:, kpi, None, None]
+            extreme += level1
+            slight += ~level3 & ~level1
+        abnormal = (extreme > 0) | (slight > tolerances[:, None, None])
+        observable = ~abnormal & (slight > 0)
+        return abnormal, observable
+
+    def confusion_counts(
+        self,
+        alphas: np.ndarray,
+        thetas: np.ndarray,
+        tolerances: np.ndarray,
         config: DBCatcherConfig,
-        values,
-        labels,
-    ):
-        value_list = values if isinstance(values, (list, tuple)) else [values]
-        label_list = labels if isinstance(labels, (list, tuple)) else [labels]
-        if len(value_list) != len(label_list):
-            raise ValueError("values and labels lists must have equal length")
-        self._plans: List[_ReplayPlan] = []
-        for raw_values, raw_labels in zip(value_list, label_list):
-            data = np.asarray(raw_values, dtype=np.float64)
-            truth = np.asarray(raw_labels, dtype=bool)
-            if data.ndim != 3:
-                raise ValueError(
-                    f"values must be (n_databases, n_kpis, n_ticks), got {data.shape}"
-                )
-            if data.shape[1] != config.n_kpis:
-                raise ValueError(
-                    f"values carry {data.shape[1]} KPIs but config has {config.n_kpis}"
-                )
-            if truth.shape != (data.shape[0], data.shape[2]):
-                raise ValueError(
-                    "labels must be (n_databases, n_ticks) matching values"
-                )
-            if data.shape[2] < config.initial_window:
-                raise ValueError(
-                    "replay window shorter than the detector's initial window"
-                )
-            if data.shape[0] < 2:
-                raise ValueError("UKPIC needs at least two databases in a unit")
-            self._plans.append(_ReplayPlan(data, truth, config))
-        if not self._plans:
-            raise ValueError("objective needs at least one replay window")
-        self._config = config
-        self._sizes = _window_sizes(config)
-        self._cache: Dict[Tuple, float] = {}
-        #: Number of non-memoized fitness evaluations performed.
-        self.evaluations = 0
-
-    @property
-    def config(self) -> DBCatcherConfig:
-        return self._config
-
-    @property
-    def n_kpis(self) -> int:
-        return self._config.n_kpis
-
-    @staticmethod
-    def _key(genome: ThresholdGenome) -> Tuple:
-        # Same memo key as DetectionObjective, so memo behaviour (and the
-        # determinism tests built on ``evaluations``) carry over.
-        return (genome.alphas, round(genome.theta, 6), genome.tolerance)
-
-    def __call__(self, genome: ThresholdGenome) -> float:
-        """Fitness of one genome: detection F-Measure on the replay data."""
-        return self.evaluate_population([genome])[0]
-
-    def evaluate_population(self, population: Sequence[ThresholdGenome]) -> List[float]:
-        """Fitness of every genome, thresholding all of them in one pass."""
-        missing: List[ThresholdGenome] = []
-        missing_keys = set()
-        for genome in population:
-            key = self._key(genome)
-            if key not in self._cache and key not in missing_keys:
-                missing_keys.add(key)
-                missing.append(genome)
-        if missing:
-            alphas = np.array([g.alphas for g in missing], dtype=np.float64)
-            thetas = np.array([g.theta for g in missing], dtype=np.float64)
-            tolerances = np.array([g.tolerance for g in missing], dtype=np.int64)
-            counts = [ConfusionCounts() for _ in missing]
-            for plan in self._plans:
-                states = _StateLattice(plan, alphas, thetas, tolerances)
-                for index in range(len(missing)):
-                    counts[index] = counts[index] + self._replay_confusion(
-                        plan, states, index
-                    )
-            for index, genome in enumerate(missing):
-                fitness = scores_from_confusion(counts[index]).f_measure
-                self._cache[self._key(genome)] = fitness
-                self.evaluations += 1
-        return [self._cache[self._key(genome)] for genome in population]
-
-    def _replay_confusion(
-        self, plan: _ReplayPlan, states: "_StateLattice", index: int
-    ) -> ConfusionCounts:
-        """Walk one genome's round lattice; segment-adjusted confusion.
+    ) -> np.ndarray:
+        """``(n_genomes, 4)`` segment-adjusted counts over this window.
 
         Mirrors ``DBCatcher._step_round`` exactly: the pending set shrinks
         to databases with finite data, a round with fewer than two usable
@@ -239,99 +183,94 @@ class VectorizedObjective:
         ``W_M`` forces a verdict, and a round the replay cannot finish
         contributes no records at all.
         """
-        sizes = self._sizes
-        max_window = self._config.max_window
-        forced_abnormal = self._config.resolve_max_window_as_abnormal
-        n_ticks = plan.n_ticks
-        n_databases = plan.n_databases
-        spans: List[List[Tuple[int, int]]] = [[] for _ in range(n_databases)]
-        preds: List[List[bool]] = [[] for _ in range(n_databases)]
-        cursor = 0
-        while cursor + sizes[0] <= n_ticks:
-            lattice = plan.windows[cursor]
-            pending = list(range(n_databases))
-            round_records: List[Tuple[int, int, bool]] = []
-            finished_end: Optional[int] = None
-            for expansion, size in enumerate(sizes):
-                end = cursor + size
-                if end > n_ticks:
-                    break  # round blocked forever: no records survive
-                facts = lattice[expansion]
-                active = facts.round_active
-                pending = [db for db in pending if active[db]]
-                if facts.scores is None or not pending:
-                    finished_end = end
-                    break
-                verdicts = states.at(cursor, expansion)[index]
-                still_pending: List[int] = []
-                at_max = size >= max_window
-                for db in pending:
-                    state = verdicts[db]
-                    if state == _OBSERVABLE and not at_max:
-                        still_pending.append(db)
-                        continue
-                    predicted = state == _ABNORMAL or (
-                        state == _OBSERVABLE and forced_abnormal
-                    )
-                    round_records.append((db, end, predicted))
-                if not still_pending:
-                    finished_end = end
-                    break
-                pending = still_pending
-            if finished_end is None:
+        n_genomes = len(alphas)
+        n_starts, _, n_databases = self.active.shape
+        lows = alphas - thetas[:, None]
+        # Resolve every (genome, start) round, one expansion at a time.
+        forced_abnormal = config.resolve_max_window_as_abnormal
+        open_rounds = np.ones((n_genomes, n_starts), dtype=bool)
+        pending = np.ones((n_genomes, n_starts, n_databases), dtype=bool)
+        record_expansion = np.full((n_genomes, n_starts, n_databases), -1)
+        predicted = np.zeros((n_genomes, n_starts, n_databases), dtype=bool)
+        #: End tick each round finishes at; -1 while (or if forever) blocked.
+        finish = np.full((n_genomes, n_starts), -1, dtype=np.int64)
+        for expansion, size in enumerate(self.sizes):
+            # A window past the replay's end blocks its round for good.
+            open_rounds &= self.fits[None, :, expansion]
+            if not open_rounds.any():
                 break
-            for db, end, predicted in round_records:
-                spans[db].append((cursor, end))
-                preds[db].append(predicted)
-            cursor = finished_end
-        total = ConfusionCounts()
-        for db in range(n_databases):
-            if spans[db]:
-                total = total + adjusted_confusion_from_spans(
-                    spans[db],
-                    np.asarray(preds[db], dtype=bool),
-                    plan.labels[db],
-                )
-        return total
+            pending &= self.active[None, :, expansion]
+            no_round = ~self.has_correlation[None, :, expansion] | ~pending.any(axis=-1)
+            resolved = open_rounds & no_round
+            judged = pending & (open_rounds & ~resolved)[..., None]
+            abnormal, observable = self._states(expansion, alphas, lows, tolerances)
+            waiting = judged & observable & (size < config.max_window)
+            recorded = judged & ~waiting
+            record_expansion[recorded] = expansion
+            verdict = abnormal | (observable & forced_abnormal)
+            predicted[recorded] = verdict[recorded]
+            done = resolved | (open_rounds & ~resolved & ~waiting.any(axis=-1))
+            round_ends = np.broadcast_to(self.ends[:, expansion], done.shape)
+            finish[done] = round_ends[done]
+            open_rounds &= ~done
+            pending = waiting
+
+        # Walk every genome's cursor path through the lattice at once.
+        on_path = np.zeros((n_genomes, n_starts), dtype=bool)
+        genomes = np.arange(n_genomes)
+        cursor = np.zeros(n_genomes, dtype=np.int64)
+        while genomes.size:
+            rows = self.start_index[cursor[genomes]]
+            ends = finish[genomes, np.maximum(rows, 0)]
+            moving = (rows >= 0) & (ends >= 0)
+            genomes, rows, ends = genomes[moving], rows[moving], ends[moving]
+            on_path[genomes, rows] = True
+            cursor[genomes] = ends
+
+        # Segment-adjusted confusion of the records on those paths.
+        genome, row, db = np.nonzero(on_path[..., None] & (record_expansion >= 0))
+        segment = self.seg_id[row, record_expansion[genome, row, db], db]
+        flagged = predicted[genome, row, db]
+        inside = segment >= 0
+        key = genome[inside] * self.n_segments + segment[inside]
+        flagged_keys = key[flagged[inside]]
+        detected = np.bincount(flagged_keys, minlength=n_genomes * self.n_segments)
+        hit = detected[key] > 0
+        counts = np.zeros((n_genomes, len(COUNT_FIELDS)), dtype=np.int64)
+        counts[:, 0] = np.bincount(genome[inside][hit], minlength=n_genomes)
+        counts[:, 1] = np.bincount(genome[~inside & flagged], minlength=n_genomes)
+        counts[:, 2] = np.bincount(genome[~inside & ~flagged], minlength=n_genomes)
+        counts[:, 3] = np.bincount(genome[inside][~hit], minlength=n_genomes)
+        return counts
 
 
-class _StateLattice:
-    """Lazy per-(start, expansion) state arrays for a genome batch.
+class VectorizedObjective(ReplayObjective):
+    """Drop-in replacement for ``DetectionObjective`` with batched fitness.
 
-    ``at(start, expansion)`` returns an ``(n_genomes, n_databases)`` int
-    array of Fig. 7 states, computed on first touch for the whole batch at
-    once via broadcasting and cached — genomes whose walks visit the same
-    lattice point share the work.
+    Accepts the same constructor arguments and exposes the same surface;
+    :meth:`confusion_counts` scores a whole population in array passes
+    over each replay window's precomputed lattice.  ``shard(lo, hi)``
+    views share the built lattices, so fork-based workers inherit them
+    for free.
     """
 
-    def __init__(
-        self,
-        plan: _ReplayPlan,
-        alphas: np.ndarray,
-        thetas: np.ndarray,
-        tolerances: np.ndarray,
-    ):
-        self._plan = plan
-        self._alphas = alphas
-        self._lower = alphas - thetas[:, None]
-        self._tolerances = tolerances
-        self._cache: Dict[Tuple[int, int], np.ndarray] = {}
+    def __init__(self, config: DBCatcherConfig, values, labels):
+        super().__init__(config, values, labels)
+        self._plans = [
+            _ReplayPlan(data, truth, config)
+            for data, truth in zip(self._values, self._labels)
+        ]
 
-    def at(self, start: int, expansion: int) -> np.ndarray:
-        key = (start, expansion)
-        states = self._cache.get(key)
-        if states is None:
-            scores = self._plan.windows[start][expansion].scores
-            assert scores is not None  # callers skip correlation-free windows
-            level3 = scores[None, :, :] >= self._alphas[:, None, :]
-            level1 = scores[None, :, :] < self._lower[:, None, :]
-            level2 = ~level3 & ~level1
-            extreme = level1.sum(axis=2)
-            slight = level2.sum(axis=2)
-            abnormal = (extreme > 0) | (slight > self._tolerances[:, None])
-            healthy = (extreme == 0) & (slight == 0)
-            states = np.where(
-                abnormal, _ABNORMAL, np.where(healthy, _HEALTHY, _OBSERVABLE)
-            ).astype(np.int8)
-            self._cache[key] = states
-        return states
+    def shard(self, lo: int, hi: int) -> ReplayObjective:
+        view = cast(VectorizedObjective, super().shard(lo, hi))
+        view._plans = self._plans[lo:hi]
+        return view
+
+    def confusion_counts(self, genomes: Sequence[ThresholdGenome]) -> np.ndarray:
+        alphas = np.array([g.alphas for g in genomes], dtype=np.float64)
+        thetas = np.array([g.theta for g in genomes], dtype=np.float64)
+        tolerances = np.array([g.tolerance for g in genomes], dtype=np.int64)
+        counts = np.zeros((len(genomes), len(COUNT_FIELDS)), dtype=np.int64)
+        for plan in self._plans:
+            counts += plan.confusion_counts(alphas, thetas, tolerances, self._config)
+        return counts

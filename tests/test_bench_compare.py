@@ -50,6 +50,8 @@ class TestMetricDirection:
             ("batched_ms_per_round", "lower"),
             ("overhead_ratio", "lower"),
             ("n_rounds", None),
+            # In-run ratios are gated by their own bench, not across runs.
+            ("pool_over_serial", None),
             ("scale", None),
             ("cores", None),
         ],
@@ -102,6 +104,21 @@ class TestCompare:
         rows, warnings = bench_compare.compare(baseline, current, 0.30)
         assert rows == []
         assert any("noise floor" in warning for warning in warnings)
+
+    def test_new_bench_and_fields_are_accepted(self):
+        current = _copy(BASELINE)
+        current["tuning_parallel"]["jobs"] = 2
+        current["tuning_pool"] = {
+            "scale": {"units": 2, "ticks": 240},
+            "cpus": 1,
+            "serial_call_seconds": 1.1,
+            "pool_call_seconds": 0.9,
+            "pool_over_serial": 1.22,
+        }
+        rows, warnings = bench_compare.compare(BASELINE, current, 0.30)
+        assert rows and not any(row["regressed"] for row in rows)
+        assert not any(row["bench"] == "tuning_pool" for row in rows)
+        assert warnings == []
 
     def test_missing_bench_warns(self):
         rows, warnings = bench_compare.compare(BASELINE, {}, 0.30)

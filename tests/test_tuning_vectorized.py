@@ -1,11 +1,14 @@
 """Differential tests: VectorizedObjective vs the per-genome replay objective.
 
 The vectorized objective precomputes threshold-independent score tensors
-and walks each genome's round lattice; these tests pin that its fitness
-is *identical* (not approximately equal — the arithmetic is the same
-kernels) to ``DetectionObjective``'s full detector replay, on clean and
-NaN-degraded data alike.
+and resolves every genome's rounds in array passes; these tests pin that
+its per-genome confusion counts — and so its fitness — are *identical*
+(not approximately equal — the arithmetic is the same kernels) to
+``DetectionObjective``'s full detector replay, on clean and NaN-degraded
+data, blocked tails, multi-segment labels and mixed unit shapes alike.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -38,7 +41,18 @@ def _genome_panel(n_kpis, seed=3, n_random=8):
     # Edge thresholds: everything abnormal / nothing ever flagged.
     panel.append(ThresholdGenome(alphas=(1.0,) * n_kpis, theta=0.0, tolerance=0))
     panel.append(ThresholdGenome(alphas=(-1.0,) * n_kpis, theta=2.0, tolerance=99))
+    # Everything OBSERVABLE: every round expands until W_M forces it.
+    panel.append(ThresholdGenome(alphas=(1.0,) * n_kpis, theta=2.0, tolerance=99))
     return panel
+
+
+def _assert_counts_match(config, values, labels, panel):
+    replay = DetectionObjective(config, values, labels)
+    vectorized = VectorizedObjective(config, values, labels)
+    expected = replay.confusion_counts(panel)
+    np.testing.assert_array_equal(vectorized.confusion_counts(panel), expected)
+    assert vectorized.evaluate_population(panel) == replay.evaluate_population(panel)
+    return expected
 
 
 class TestDifferential:
@@ -75,6 +89,60 @@ class TestDifferential:
         )
         genome = ThresholdGenome.from_config(CONFIG)
         assert vectorized(genome) == replay(genome)
+
+    def test_counts_match_without_forced_abnormal_resolution(self, data):
+        config = dataclasses.replace(CONFIG, resolve_max_window_as_abnormal=False)
+        values, labels = data
+        panel = _genome_panel(CONFIG.n_kpis, seed=11)
+        counts = _assert_counts_match(config, values, labels, panel)
+        forced = DetectionObjective(CONFIG, values, labels).confusion_counts(panel)
+        # The all-OBSERVABLE genome is where the flag bites.
+        assert not np.array_equal(counts, forced)
+
+    def test_counts_match_when_the_tail_round_blocks(self, data):
+        values, labels = data
+        # 165 ticks: a round can start at 150 (W = 10 fits) but the
+        # all-OBSERVABLE genome expands it past the end, where it blocks.
+        values, labels = values[:, :, :165], labels[:, :165]
+        panel = _genome_panel(CONFIG.n_kpis, seed=13)
+        all_observable = panel[-1]
+        replay = DetectionObjective(CONFIG, values, labels)
+        # Rounds [0, 30) .. [120, 150) record all 4 databases; none survive
+        # from the blocked round at 150.
+        assert replay.confusion_counts([all_observable]).sum() == 4 * 5
+        _assert_counts_match(CONFIG, values, labels, panel)
+
+    def test_counts_match_with_many_label_segments(self):
+        values, labels = _unit(44)
+        rng = np.random.default_rng(44)
+        for start, stop in [(10, 18), (40, 45), (110, 130), (140, 150)]:
+            values[1, :, start:stop] = rng.random((2, stop - start)) * 3.0
+            labels[1, start:stop] = True
+        panel = _genome_panel(CONFIG.n_kpis, seed=17)
+        _assert_counts_match(CONFIG, values, labels, panel)
+
+    def test_counts_match_across_units_of_different_widths(self, data):
+        values, labels = data
+        narrow_values, narrow_labels = _unit(45, n_db=3, n_ticks=140)
+        panel = _genome_panel(CONFIG.n_kpis, seed=19)
+        _assert_counts_match(
+            CONFIG, [values, narrow_values], [labels, narrow_labels], panel
+        )
+
+    def test_memoized_and_duplicate_genomes_match(self, data):
+        values, labels = data
+        panel = _genome_panel(CONFIG.n_kpis, seed=23)
+        replay = DetectionObjective(CONFIG, values, labels)
+        vectorized = VectorizedObjective(CONFIG, values, labels)
+        first = panel[:4]
+        assert vectorized.evaluate_population(first) == replay.evaluate_population(first)
+        # Memo hits, fresh genomes and in-batch duplicates in one call.
+        mixed = [panel[1], panel[5], panel[5], panel[0], panel[7], panel[1]]
+        assert vectorized.evaluate_population(mixed) == replay.evaluate_population(mixed)
+        assert vectorized.evaluations == replay.evaluations == 6
+        np.testing.assert_array_equal(
+            vectorized.confusion_counts(mixed), replay.confusion_counts(mixed)
+        )
 
     def test_population_call_matches_single_calls(self, data):
         values, labels = data
