@@ -32,7 +32,7 @@ from repro.core import (
     kcd_matrix,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 #: Service-layer names resolved lazily so `import repro` stays light —
 #: the fleet scheduler pulls in datasets/cluster machinery that pure

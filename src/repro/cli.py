@@ -212,14 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(repeatable; default stdout)")
     serve.add_argument("--max-ticks", type=int, default=None,
                        help="stop after this many ticks per unit")
-    serve.add_argument("--log-ensemble", action="store_true",
-                       help="run the log-frequency channel alongside "
-                            "correlation detection and fuse the verdicts "
-                            "(provenance-tagged alerts)")
     serve.add_argument("--log-scenario", default=None, metavar="NAME",
                        help="replay a KPI-blind log scenario preset "
                             "(error-burst, replication-lag, noisy-neighbor) "
-                            "instead of a dataset; implies --log-ensemble")
+                            "instead of a dataset, running the log-frequency "
+                            "channel alongside correlation detection and "
+                            "fusing the verdicts (provenance-tagged alerts)")
     _add_detector_flags(serve)
     serve.add_argument("--history-limit", type=int,
                        default=service_defaults.history_limit,
@@ -551,7 +549,7 @@ def _cmd_serve(args) -> int:
         wal_sync=args.wal_sync,
         ingest_capacity=args.ingest_capacity,
         ingest_max_batch=args.ingest_max_batch,
-        log_ensemble=bool(args.log_ensemble or args.log_scenario),
+        log_ensemble=args.log_scenario is not None,
     )
     observing = args.obs_port is not None or args.obs_snapshot is not None
     scope = obs.scoped() if observing else contextlib.nullcontext()

@@ -337,7 +337,6 @@ class DBCatcher:
                     self._config.kpi_names,
                     max_delay=self._config.max_delay(state.size),
                     active=round_active,
-                    window_start=state.start,
                 )
             state.matrices = tuple(matrices)
             state.round_active = tuple(bool(flag) for flag in round_active)
@@ -412,9 +411,8 @@ class DBCatcher:
         and retained judgement records and round results.  An in-progress
         round is deliberately *not* captured — it is a pure function of the
         buffered ticks past the cursor, so :meth:`from_state` re-derives it
-        deterministically the moment data resumes.  Engine caches rebuild
-        lazily on the first round and only cost one warm-up correlation
-        pass.
+        deterministically the moment data resumes.  Engines are
+        stateless, so there is nothing of theirs to capture.
 
         ``healthy_matrices=False`` skips encoding the correlation
         matrices of retained *healthy* rounds; the persistence layer

@@ -19,11 +19,9 @@ trend of one database has deviated — the anomaly signal DBCatcher uses.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from repro.core.normalize import minmax_normalize
+from repro.core.normalize import _normalize_rows
 from repro.obs import runtime as obs
 
 __all__ = ["kcd", "kcd_matrix", "lagged_correlation_profile"]
@@ -68,7 +66,7 @@ def _centered_segment_score(x_seg: np.ndarray, y_seg: np.ndarray) -> float:
 
 
 def _profile_reference(x_arr: np.ndarray, y_arr: np.ndarray, m: int) -> np.ndarray:
-    """Straightforward per-lag loop; kept as the oracle for the fast path."""
+    """Straightforward per-lag loop; kept as the oracle for the kernel."""
     n = x_arr.shape[0]
     profile = np.empty(2 * m + 1, dtype=np.float64)
     for offset, delay in enumerate(range(-m, m + 1)):
@@ -80,69 +78,6 @@ def _profile_reference(x_arr: np.ndarray, y_arr: np.ndarray, m: int) -> np.ndarr
             y_seg = y_arr[-delay:]
         profile[offset] = _centered_segment_score(x_seg, y_seg)
     return profile
-
-
-def _profile_fast(x_arr: np.ndarray, y_arr: np.ndarray, m: int) -> np.ndarray:
-    """All lags at once via one cross-correlation plus prefix sums.
-
-    For every lag the overlapping segments' dot product comes from one
-    ``np.correlate`` call, and their means/norms from cumulative sums, so
-    the whole profile costs O(n^2) flops in vectorized numpy instead of
-    ``2m + 1`` Python-level passes.  This is the library's hot path: the
-    paper measures correlation computation at ~70 % of detection time.
-    """
-    n = x_arr.shape[0]
-    lags = np.arange(-m, m + 1)
-    lengths = (n - np.abs(lags)).astype(np.float64)
-
-    # Raw segment dot products for every lag:
-    # full cross-correlation c[k] = sum_i x[i + k - (n-1)] * y[i].
-    correlation = np.correlate(x_arr, y_arr, mode="full")
-    dots = correlation[(n - 1) + lags]
-
-    # Segment sums / sums of squares via prefix and suffix cumsums.
-    x_prefix = np.concatenate(([0.0], np.cumsum(x_arr)))
-    y_prefix = np.concatenate(([0.0], np.cumsum(y_arr)))
-    x2_prefix = np.concatenate(([0.0], np.cumsum(x_arr**2)))
-    y2_prefix = np.concatenate(([0.0], np.cumsum(y_arr**2)))
-
-    sum_x = np.empty_like(lengths)
-    sum_y = np.empty_like(lengths)
-    sum_x2 = np.empty_like(lengths)
-    sum_y2 = np.empty_like(lengths)
-    non_negative = lags >= 0
-    s_pos = lags[non_negative]
-    # lag s >= 0: x[s:], y[:n-s].
-    sum_x[non_negative] = x_prefix[n] - x_prefix[s_pos]
-    sum_x2[non_negative] = x2_prefix[n] - x2_prefix[s_pos]
-    sum_y[non_negative] = y_prefix[n - s_pos]
-    sum_y2[non_negative] = y2_prefix[n - s_pos]
-    s_neg = -lags[~non_negative]
-    # lag s < 0: x[:n+s], y[-s:].
-    sum_x[~non_negative] = x_prefix[n - s_neg]
-    sum_x2[~non_negative] = x2_prefix[n - s_neg]
-    sum_y[~non_negative] = y_prefix[n] - y_prefix[s_neg]
-    sum_y2[~non_negative] = y2_prefix[n] - y2_prefix[s_neg]
-
-    mean_x = sum_x / lengths
-    mean_y = sum_y / lengths
-    centered_dot = dots - lengths * mean_x * mean_y
-    var_x = sum_x2 - lengths * mean_x**2
-    var_y = sum_y2 - lengths * mean_y**2
-    norm_x = np.sqrt(np.clip(var_x, 0.0, None))
-    norm_y = np.sqrt(np.clip(var_y, 0.0, None))
-
-    flat_x = var_x <= _FLAT_REL_VAR * (sum_x2 + _FLAT_ABS_VAR)
-    flat_y = var_y <= _FLAT_REL_VAR * (sum_y2 + _FLAT_ABS_VAR)
-    denominator = np.where(flat_x | flat_y, 1.0, norm_x * norm_y)
-    profile = centered_dot / denominator
-    profile[flat_x & flat_y] = _BOTH_FLAT_SCORE
-    profile[flat_x ^ flat_y] = _ONE_FLAT_SCORE
-    if obs.is_enabled():
-        obs.counter("kcd.flat_segments").increment(
-            int(np.count_nonzero(flat_x | flat_y))
-        )
-    return np.clip(profile, -1.0, 1.0)
 
 
 def lagged_correlation_profile(
@@ -184,12 +119,12 @@ def lagged_correlation_profile(
     m = n // 2 if max_delay is None else int(max_delay)
     if m < 0 or m >= n:
         raise ValueError(f"max_delay must lie in [0, {n - 1}], got {m}")
+    rows = np.vstack([x_arr, y_arr])
     if normalize:
-        x_arr = minmax_normalize(x_arr)
-        y_arr = minmax_normalize(y_arr)
+        rows = _normalize_rows(rows)
     obs.counter("kcd.profile_calls").increment()
     with obs.span("engine.profile"):
-        return _profile_fast(x_arr, y_arr, m)
+        return _pairwise_profiles(rows, np.array([0]), np.array([1]), m)[0]
 
 
 def kcd(
@@ -216,40 +151,60 @@ def kcd(
     return float(profile.max())
 
 
-def _row_prefix_sums(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row prefix sums and prefix sums of squares, zero-padded.
-
-    The returned arrays have shape ``(n_rows, n + 1)`` so segment sums over
-    ``[a, b)`` are ``prefix[:, b] - prefix[:, a]``.  Shared by the in-place
-    fast path and the batched engine's incremental window cache.
-    """
-    n_rows = rows.shape[0]
-    prefix = np.concatenate(
-        [np.zeros((n_rows, 1)), np.cumsum(rows, axis=1)], axis=1
-    )
-    prefix_sq = np.concatenate(
-        [np.zeros((n_rows, 1)), np.cumsum(rows**2, axis=1)], axis=1
-    )
-    return prefix, prefix_sq
-
-
-def _pair_profiles_from_stats(
-    dots: np.ndarray,
-    prefix: np.ndarray,
-    prefix_sq: np.ndarray,
-    pairs_i: np.ndarray,
-    pairs_j: np.ndarray,
-    m: int,
-    n: int,
+def _lagged_raw_dots(
+    rows: np.ndarray, pairs_i: np.ndarray, pairs_j: np.ndarray, m: int
 ) -> np.ndarray:
-    """Finish batched lag profiles from raw dots and per-row prefix sums.
+    """Raw lagged segment dot products for many row pairs via one FFT.
 
-    Applies the mean/variance bookkeeping of Eq. (3)/(4) and the shared
-    flat-sentinel rules elementwise over a ``(n_pairs, 2 * m + 1)`` grid.
-    Both :func:`_pairwise_profiles` and the batched engine
-    (:mod:`repro.engine.batched`) call this, so the two stay elementwise
-    identical by construction.
+    Computes ``dots[p, k] = sum_i x[i + lag_k] * y[i]`` over the overlap
+    for every pair ``p`` and lag ``-m .. m`` using a single batched
+    circular cross-correlation (zero-padded to the next power of two).
     """
+    n = rows.shape[1]
+    size = 1 << int(np.ceil(np.log2(max(2 * n, 2))))
+    spectra = np.fft.rfft(rows, size, axis=1)
+    cross = spectra[pairs_i] * np.conj(spectra[pairs_j])
+    circular = np.fft.irfft(cross, size, axis=1)  # (P, size)
+    lags = np.arange(-m, m + 1)
+    dot_index = np.where(lags >= 0, lags, size + lags)
+    return circular[:, dot_index]
+
+
+def _pairwise_profiles(
+    rows: np.ndarray, pairs_i: np.ndarray, pairs_j: np.ndarray, m: int
+) -> np.ndarray:
+    """Lagged correlation profiles for many row pairs at once.
+
+    The one KCD kernel: :func:`kcd`, :func:`lagged_correlation_profile`,
+    :func:`kcd_matrix` and the batched engine
+    (:mod:`repro.engine.batched`) all score through it.  One batched FFT
+    cross-correlation gives every pair's raw lagged dot products, per-row
+    prefix sums give every overlapping segment's sums and sums of
+    squares, and the mean/variance bookkeeping of Eq. (3)/(4) plus the
+    shared flat-sentinel rules run elementwise over the
+    ``(n_pairs, 2 * m + 1)`` grid.
+
+    Parameters
+    ----------
+    rows:
+        ``(n_rows, n)`` of already min-max-normalized series.
+    pairs_i, pairs_j:
+        Row indices of each pair.
+    m:
+        Delay scan bound.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(n_pairs, 2 * m + 1)`` profiles for lags ``-m .. m``.
+    """
+    n_rows, n = rows.shape
+    dots = _lagged_raw_dots(rows, pairs_i, pairs_j, m)
+    # Zero-padded prefix sums: a segment [a, b) sums to p[:, b] - p[:, a].
+    zeros = np.zeros((n_rows, 1))
+    prefix = np.concatenate([zeros, np.cumsum(rows, axis=1)], axis=1)
+    prefix_sq = np.concatenate([zeros, np.cumsum(rows**2, axis=1)], axis=1)
+
     lags = np.arange(-m, m + 1)
     lengths = (n - np.abs(lags)).astype(np.float64)
     positive = lags >= 0
@@ -291,57 +246,6 @@ def _pair_profiles_from_stats(
             int(np.count_nonzero(flat_x | flat_y))
         )
     return np.clip(profiles, -1.0, 1.0)
-
-
-def _lagged_raw_dots(
-    rows: np.ndarray, pairs_i: np.ndarray, pairs_j: np.ndarray, m: int
-) -> np.ndarray:
-    """Raw lagged segment dot products for many row pairs via one FFT.
-
-    Computes ``dots[p, k] = sum_i x[i + lag_k] * y[i]`` over the overlap
-    for every pair ``p`` and lag ``-m .. m`` using a single batched
-    circular cross-correlation (zero-padded to the next power of two).
-    """
-    n = rows.shape[1]
-    size = 1 << int(np.ceil(np.log2(max(2 * n, 2))))
-    spectra = np.fft.rfft(rows, size, axis=1)
-    cross = spectra[pairs_i] * np.conj(spectra[pairs_j])
-    circular = np.fft.irfft(cross, size, axis=1)  # (P, size)
-    lags = np.arange(-m, m + 1)
-    dot_index = np.where(lags >= 0, lags, size + lags)
-    return circular[:, dot_index]
-
-
-def _pairwise_profiles(
-    rows: np.ndarray, pairs_i: np.ndarray, pairs_j: np.ndarray, m: int
-) -> np.ndarray:
-    """Lagged correlation profiles for many row pairs at once.
-
-    One batched FFT cross-correlation plus shared prefix sums replaces the
-    per-pair scans: for a unit's 10 database pairs over 14 KPIs this is
-    the difference between ~3000 small numpy calls per detection round and
-    ~10 vectorized ones.
-
-    Parameters
-    ----------
-    rows:
-        ``(n_rows, n)`` of already min-max-normalized series.
-    pairs_i, pairs_j:
-        Row indices of each pair.
-    m:
-        Delay scan bound.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(n_pairs, 2 * m + 1)`` profiles for lags ``-m .. m``.
-    """
-    n = rows.shape[1]
-    dots = _lagged_raw_dots(rows, pairs_i, pairs_j, m)
-    prefix, prefix_sq = _row_prefix_sums(rows)
-    return _pair_profiles_from_stats(
-        dots, prefix, prefix_sq, pairs_i, pairs_j, m, n
-    )
 
 
 def kcd_matrix(
@@ -394,7 +298,7 @@ def kcd_matrix(
     if obs.is_enabled():
         obs.counter("kcd.matrix_calls").increment()
     # Normalize each row once instead of per pair.
-    normalized = np.vstack([minmax_normalize(row) for row in data])
+    normalized = _normalize_rows(data)
     matrix = np.eye(n_dbs, dtype=np.float64)
     rows_i, rows_j = np.triu_indices(n_dbs, k=1)
     both_active = active_mask[rows_i] & active_mask[rows_j]

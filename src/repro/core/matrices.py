@@ -166,36 +166,24 @@ def build_correlation_matrices(
         Optional in-use database mask.
     measure:
         Optional replacement correlation measure (see
-        :func:`repro.core.kcd.kcd_matrix`).  Mutually exclusive with
-        ``engine``.
+        :func:`repro.core.kcd.kcd_matrix`); it runs on the reference
+        engine.  Mutually exclusive with ``engine``.
     engine:
-        Optional :class:`repro.engine.KCDEngine` to delegate to (e.g. a
-        :class:`~repro.engine.batched.BatchedEngine` shared across calls).
-        ``None`` keeps the classic per-KPI :func:`~repro.core.kcd.kcd_matrix`
-        path.
+        Optional :class:`repro.engine.KCDEngine` to delegate to.  ``None``
+        builds :func:`repro.engine.make_engine` for ``measure`` (the
+        batched engine when there is none), so both paths score through
+        the same engine code.
 
     Returns
     -------
     list of CorrelationMatrix
         One matrix per KPI, in ``kpi_names`` order.
     """
-    if engine is not None:
-        if measure is not None:
-            raise ValueError("pass either engine or measure, not both")
-        return engine.matrices(window, kpi_names, max_delay=max_delay, active=active)
-    data = np.asarray(window, dtype=np.float64)
-    if data.ndim != 3:
-        raise ValueError(
-            f"expected (n_databases, n_kpis, n_points), got shape {data.shape}"
-        )
-    if data.shape[1] != len(kpi_names):
-        raise ValueError(
-            f"window has {data.shape[1]} KPI rows but {len(kpi_names)} names"
-        )
-    return [
-        CorrelationMatrix.from_window(
-            kpi, data[:, index, :], max_delay=max_delay, active=active,
-            measure=measure,
-        )
-        for index, kpi in enumerate(kpi_names)
-    ]
+    if engine is None:
+        # Local import: repro.engine builds on this module.
+        from repro.engine.base import make_engine
+
+        engine = make_engine(measure=measure)
+    elif measure is not None:
+        raise ValueError("pass either engine or measure, not both")
+    return engine.matrices(window, kpi_names, max_delay=max_delay, active=active)

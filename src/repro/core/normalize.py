@@ -41,6 +41,23 @@ def minmax_normalize(values: np.ndarray) -> np.ndarray:
     return (series - low) / span
 
 
+def _normalize_rows(raw: np.ndarray) -> np.ndarray:
+    """Min-max normalize every row of a 2-D array (vectorized Eq. 1).
+
+    Elementwise identical to mapping :func:`minmax_normalize` over the
+    rows: constant and non-finite rows normalize to zeros, everything
+    else to ``(x - min) / (max - min)``.  The KCD kernels normalize
+    their stacked window rows through this one function.
+    """
+    lows = raw.min(axis=1)
+    spans = raw.max(axis=1) - lows
+    usable = np.isfinite(spans) & (spans != 0.0)
+    out = np.zeros_like(raw)
+    if usable.any():
+        out[usable] = (raw[usable] - lows[usable, None]) / spans[usable, None]
+    return out
+
+
 def zscore_normalize(values: np.ndarray) -> np.ndarray:
     """Standardize a series to zero mean and unit variance.
 

@@ -6,8 +6,7 @@ backends:
 
 * :class:`~repro.engine.batched.BatchedEngine` (``backend="batched"``,
   the default) — all database pairs and all KPIs in one vectorized FFT
-  pass, with incremental reuse of normalized rows and running sums as
-  the flexible window expands (:class:`~repro.engine.cache.WindowCache`);
+  pass through the shared KCD kernel;
 * :class:`~repro.engine.reference.ReferenceEngine`
   (``backend="reference"``) — the per-pair, per-lag oracle loop, also
   home to the pluggable Table X measures.
@@ -20,15 +19,12 @@ directly with :func:`make_engine` and hand it to
 
 from repro.engine.base import KCDEngine, make_engine, validate_window
 from repro.engine.batched import BatchedEngine
-from repro.engine.cache import CacheStats, WindowCache
 from repro.engine.reference import ReferenceEngine
 
 __all__ = [
     "BatchedEngine",
-    "CacheStats",
     "KCDEngine",
     "ReferenceEngine",
-    "WindowCache",
     "make_engine",
     "validate_window",
 ]

@@ -5,8 +5,7 @@ A *KCD engine* turns one observation window of a unit — shape
 matrices (Eq. 5).  Two backends ship (:data:`~repro.core.config.BACKENDS`):
 
 * ``batched`` (:class:`~repro.engine.batched.BatchedEngine`) — all pairs
-  and all KPIs in one vectorized FFT pass, with incremental caching of
-  normalized rows and running sums as the flexible window expands;
+  and all KPIs in one vectorized FFT pass;
 * ``reference`` (:class:`~repro.engine.reference.ReferenceEngine`) — the
   straightforward per-pair, per-lag oracle loop the batched engine is
   differentially tested against.
@@ -32,11 +31,11 @@ __all__ = ["KCDEngine", "make_engine", "validate_window"]
 class KCDEngine(Protocol):
     """What every KCD compute backend must provide.
 
-    Engines are stateful only through their cache: two engines of the same
-    backend fed the same windows produce identical matrices, and an engine
-    may be :meth:`reset` at any round boundary without changing results.
-    Engines must stay picklable so detectors can cross the service's
-    worker-process boundary.
+    Engines are stateless: a call's matrices depend only on its
+    arguments, so two engines of the same backend fed the same window
+    produce identical matrices whatever either saw before.  Engines must
+    stay picklable so detectors can cross the service's worker-process
+    boundary.
     """
 
     #: Backend name, one of :data:`repro.core.config.BACKENDS`.
@@ -48,19 +47,8 @@ class KCDEngine(Protocol):
         kpi_names: Sequence[str],
         max_delay: Optional[int] = None,
         active: Optional[np.ndarray] = None,
-        window_start: Optional[int] = None,
     ) -> List[CorrelationMatrix]:
-        """All ``Q`` correlation matrices for one observation window.
-
-        ``window_start`` is the window's absolute first tick; passing it
-        lets a caching engine recognise the expand-in-place pattern of the
-        flexible window (same start, growing end).  ``None`` disables
-        caching for the call.
-        """
-        ...
-
-    def reset(self) -> None:
-        """Drop any cached window state (results are unaffected)."""
+        """All ``Q`` correlation matrices for one observation window."""
         ...
 
 

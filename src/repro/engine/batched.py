@@ -1,22 +1,20 @@
 """Batched KCD engine: every pair and every KPI in one vectorized pass.
 
 The correlation-measurement module dominates DBCatcher's per-round cost
-(the paper measures it at ~70 % of detection time).  The per-KPI fast
-path already batches a KPI's database pairs; this engine goes one level
-further and stacks *all* ``n_databases * n_kpis`` normalized window rows
-into a single matrix, computes every lagged cross-correlation profile of
-the round — all pairs x all KPIs — with one batched FFT, and applies the
-shared flat-sentinel rules elementwise.  For a 5-database, 14-KPI unit
-that folds 14 per-KPI passes into one, and the incremental
-:class:`~repro.engine.cache.WindowCache` additionally reuses normalized
-rows and running sums as the flexible window expands in place.
+(the paper measures it at ~70 % of detection time).  This engine stacks
+*all* ``n_databases * n_kpis`` normalized window rows into a single
+matrix and computes every lagged cross-correlation profile of the round
+— all pairs x all KPIs — with one call of the shared KCD kernel
+(:func:`repro.core.kcd._pairwise_profiles`: one batched FFT plus prefix
+sums, with the flat-sentinel rules applied elementwise).  For a
+5-database, 14-KPI unit that folds 14 per-KPI passes into one.
 
-Numerical contract: profiles come from the same
-:func:`repro.core.kcd._pair_profiles_from_stats` kernel the per-KPI fast
-path uses, so batched output matches :func:`repro.core.kcd.kcd_matrix`
-elementwise (the differential suite demands 1e-9; in practice fresh
-windows are bit-identical and cache-extended windows differ only by
-prefix-sum rounding).
+The engine is stateless: every call normalizes and scores its window
+from scratch, so a result depends only on the call's arguments.
+
+Numerical contract: :func:`repro.core.kcd.kcd_matrix` runs the same
+kernel per KPI, so batched output matches it elementwise (the
+differential suite demands 1e-9; in practice the two are bit-identical).
 """
 
 from __future__ import annotations
@@ -25,30 +23,19 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.kcd import _lagged_raw_dots, _pair_profiles_from_stats
+from repro.core.kcd import _pairwise_profiles
 from repro.core.matrices import CorrelationMatrix
+from repro.core.normalize import _normalize_rows
 from repro.engine.base import validate_window
-from repro.engine.cache import CacheStats, WindowCache
 from repro.obs import runtime as obs
 
 __all__ = ["BatchedEngine"]
 
 
 class BatchedEngine:
-    """Vectorized all-pairs, all-KPIs KCD backend with window caching."""
+    """Vectorized all-pairs, all-KPIs KCD backend."""
 
     backend = "batched"
-
-    def __init__(self) -> None:
-        self._cache = WindowCache()
-
-    def reset(self) -> None:
-        self._cache.invalidate()
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Live cache counters (also mirrored to ``engine.cache.*`` obs)."""
-        return self._cache.stats
 
     def matrices(
         self,
@@ -56,22 +43,10 @@ class BatchedEngine:
         kpi_names: Sequence[str],
         max_delay: Optional[int] = None,
         active: Optional[np.ndarray] = None,
-        window_start: Optional[int] = None,
     ) -> List[CorrelationMatrix]:
         data, active_mask, m = validate_window(window, kpi_names, max_delay, active)
         n_dbs, n_kpis, n_points = data.shape
-        raw_rows = np.ascontiguousarray(data.reshape(n_dbs * n_kpis, n_points))
-
-        before = self._cache.stats.as_dict()
-        rows, prefix, prefix_sq = self._cache.rows_and_sums(
-            raw_rows, window_start, active_mask.tobytes()
-        )
         if obs.is_enabled():
-            after = self._cache.stats.as_dict()
-            for key, value in after.items():
-                delta = value - before[key]
-                if delta:
-                    obs.counter(f"engine.cache.{key}").increment(delta)
             obs.counter("engine.batched_rounds").increment()
 
         pair_i, pair_j = np.triu_indices(n_dbs, k=1)
@@ -83,6 +58,7 @@ class BatchedEngine:
             np.eye(n_dbs, dtype=np.float64) for _ in kpi_names
         ]
         if n_pairs:
+            rows = _normalize_rows(data.reshape(n_dbs * n_kpis, n_points))
             # Row of (database d, KPI k) in the stacked layout.
             kpi_offsets = np.arange(n_kpis)
             rows_i = (
@@ -92,10 +68,7 @@ class BatchedEngine:
                 kpi_offsets[:, None] + live_j[None, :] * n_kpis
             ).ravel()
             with obs.span("engine.batched_profiles"):
-                dots = _lagged_raw_dots(rows, rows_i, rows_j, m)
-                profiles = _pair_profiles_from_stats(
-                    dots, prefix, prefix_sq, rows_i, rows_j, m, n_points
-                )
+                profiles = _pairwise_profiles(rows, rows_i, rows_j, m)
             scores = profiles.max(axis=1).reshape(n_kpis, n_pairs)
             if obs.is_enabled():
                 obs.counter("engine.pairs_scored").increment(

@@ -44,16 +44,12 @@ class ReferenceEngine:
     def __init__(self, measure=None) -> None:
         self.measure = measure
 
-    def reset(self) -> None:
-        """The reference engine keeps no window state."""
-
     def matrices(
         self,
         window: np.ndarray,
         kpi_names: Sequence[str],
         max_delay: Optional[int] = None,
         active: Optional[np.ndarray] = None,
-        window_start: Optional[int] = None,
     ) -> List[CorrelationMatrix]:
         data, active_mask, m = validate_window(window, kpi_names, max_delay, active)
         n_dbs = data.shape[0]

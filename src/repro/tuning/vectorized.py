@@ -13,11 +13,10 @@ and the Fig. 7 state machine (tolerance count) do.
 1. **Precompute** (once, at construction): enumerate every round start
    reachable from tick 0 under the flexible-window geometry (round ends
    are always ``start + size_e`` for an expansion size ``size_e``), and
-   for each ``(start, expansion)`` pair run one shared
-   :class:`~repro.engine.batched.BatchedEngine` pass — whose window cache
-   reuses normalized rows and prefix sums across the same-start growing
-   windows — and keep the aggregated peer scores produced by Algorithm
-   1's ``Search``/aggregate steps (via
+   for each ``(start, expansion)`` pair run one
+   :class:`~repro.engine.batched.BatchedEngine` pass, and keep the
+   aggregated peer scores produced by Algorithm 1's ``Search``/aggregate
+   steps (via
    :func:`~repro.core.levels.calculate_levels`, so the arithmetic is the
    detector's own).  Each replay window stacks its lattice into arrays:
    scores ``(S starts, E expansions, D, K)``, the per-database active
@@ -112,7 +111,6 @@ class _ReplayPlan:
                     config.kpi_names,
                     max_delay=config.max_delay(size),
                     active=round_active,
-                    window_start=start,
                 )
                 # Algorithm 1's own aggregation code produces the scores,
                 # so every Search/aggregate subtlety (rr-only KPI masks,
@@ -123,7 +121,6 @@ class _ReplayPlan:
                 levels = calculate_levels(matrices, config, active=round_active)
                 self.scores[row, expansion] = levels.scores
                 self.has_correlation[row, expansion] = True
-        engine.reset()
 
         # seg_id[s, e, d]: the first label segment of database ``d`` that
         # the span ``[start, end)`` overlaps, numbered across databases;

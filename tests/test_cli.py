@@ -130,6 +130,21 @@ class TestServeCommand:
         ]) == 2
         assert "--log-scenario replaces" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source", [["DATASET"], ["--ingest-port", "0"]], ids=["dataset", "ingest"]
+    )
+    def test_serve_log_ensemble_flag_is_rejected(self, archive, capsys, source):
+        """No source serve builds carries logs, so the flag is gone.
+
+        A dataset, ``--live`` and ``--ingest-port`` feed KPIs only; the
+        log channel is reachable through ``--log-scenario`` alone.
+        """
+        argv = [str(archive) if arg == "DATASET" else arg for arg in source]
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", *argv, "--log-ensemble"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --log-ensemble" in capsys.readouterr().err
+
     def test_serve_live_fleet(self, capsys):
         assert main([
             "serve", "--live", "--units", "2", "--databases", "3",

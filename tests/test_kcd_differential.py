@@ -1,10 +1,12 @@
-"""Differential oracle: ``_profile_fast`` versus ``_profile_reference``.
+"""Differential oracle: the KCD kernel versus ``_profile_reference``.
 
-The fast path computes every lag's correlation from one cross-correlation
-plus prefix sums; the reference loops per lag over explicitly centered
-segments.  These tests drive both over hypothesis-generated series —
-flat, near-flat, constant tails, spikes, extreme magnitudes, every legal
-``max_delay`` — and demand elementwise agreement within 1e-9.
+The kernel (``_pairwise_profiles``, which every KCD entry point and the
+batched engine score through) computes every lag's correlation from one
+FFT cross-correlation plus prefix sums; the reference loops per lag over
+explicitly centered segments.  These tests drive both over
+hypothesis-generated series — flat, near-flat, constant tails, spikes,
+extreme magnitudes, every legal ``max_delay`` — and demand elementwise
+agreement within 1e-9.
 
 Series values are drawn from coarse grids (integer steps, or 1/8 steps on
 a unit range) and then scaled.  On a grid, any non-constant segment has
@@ -12,7 +14,7 @@ centered variance at least ``step**2 / 2`` while its sum of squares is
 bounded by ``n * max_value**2``, which keeps the variance-to-magnitude
 ratio far above both the flatness threshold (no borderline flat/non-flat
 classification flips between the two implementations) and the regime
-where the fast path's prefix-sum cancellation error could exceed the
+where the kernel's prefix-sum cancellation error could exceed the
 1e-9 agreement tolerance.  Scaling by powers of ten preserves those
 ratios exactly, so magnitude extremes are exercised without manufacturing
 ill-conditioned inputs that no normalized caller can produce (the public
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 from repro.core.kcd import (
     _BOTH_FLAT_SCORE,
     _ONE_FLAT_SCORE,
-    _profile_fast,
+    _pairwise_profiles,
     _profile_reference,
     lagged_correlation_profile,
 )
@@ -40,11 +42,16 @@ TOLERANCE = 1e-9
 SCALES = (1.0, -1.0, 1e-12, 1e-6, 1e6, 1e12, -1e12, -1e-12)
 
 
+def _kernel_profile(x, y, m):
+    """One pair's profile from the batched kernel (rows ``x`` and ``y``)."""
+    return _pairwise_profiles(np.vstack([x, y]), np.array([0]), np.array([1]), m)[0]
+
+
 @st.composite
 def grid_series(draw, n=None):
     """One series of length ``n`` on a coarse grid, then scaled.
 
-    ``kind`` mixes in the shapes the fast path's bookkeeping finds
+    ``kind`` mixes in the shapes the kernel's bookkeeping finds
     hardest: exactly constant series, constant tails/heads (half-flat
     segments at large lags), and single spikes in a flat floor.
     """
@@ -91,7 +98,7 @@ def profile_cases(draw):
 @given(profile_cases())
 def test_fast_profile_matches_reference_elementwise(case):
     x, y, m = case
-    fast = _profile_fast(x, y, m)
+    fast = _kernel_profile(x, y, m)
     reference = np.clip(_profile_reference(x, y, m), -1.0, 1.0)
     assert fast.shape == reference.shape == (2 * m + 1,)
     np.testing.assert_allclose(fast, reference, rtol=0.0, atol=TOLERANCE)
@@ -122,7 +129,7 @@ def test_constant_against_anything_scores_identically(y, constant):
     n = y.shape[0]
     x = np.full(n, constant)
     for m in (0, n // 2, n - 1):
-        fast = _profile_fast(x, y, m)
+        fast = _kernel_profile(x, y, m)
         reference = _profile_reference(x, y, m)
         np.testing.assert_array_equal(fast, reference)
         assert set(np.unique(fast)) <= {_BOTH_FLAT_SCORE, _ONE_FLAT_SCORE}
@@ -134,7 +141,7 @@ def test_self_correlation_peaks_at_zero_lag(x):
     """x against itself: both paths agree, and lag 0 scores 1 (or flat)."""
     n = x.shape[0]
     m = n // 2
-    fast = _profile_fast(x, x, m)
+    fast = _kernel_profile(x, x, m)
     reference = np.clip(_profile_reference(x, x, m), -1.0, 1.0)
     np.testing.assert_allclose(fast, reference, rtol=0.0, atol=TOLERANCE)
     assert fast[m] == pytest.approx(1.0, abs=TOLERANCE)
@@ -148,7 +155,7 @@ def test_every_legal_max_delay_agrees_exhaustively(n):
         x = rng.integers(-8, 9, size=n).astype(np.float64)
         y = rng.integers(-8, 9, size=n).astype(np.float64)
         for m in range(n):
-            fast = _profile_fast(x, y, m)
+            fast = _kernel_profile(x, y, m)
             reference = np.clip(_profile_reference(x, y, m), -1.0, 1.0)
             np.testing.assert_allclose(
                 fast, reference, rtol=0.0, atol=TOLERANCE,
@@ -166,6 +173,6 @@ def test_two_point_series_edge():
     ]
     for x, y in cases:
         for m in (0, 1):
-            fast = _profile_fast(x, y, m)
+            fast = _kernel_profile(x, y, m)
             reference = np.clip(_profile_reference(x, y, m), -1.0, 1.0)
             np.testing.assert_allclose(fast, reference, rtol=0.0, atol=TOLERANCE)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.normalize import minmax_normalize, zscore_normalize
+from repro.core.normalize import _normalize_rows, minmax_normalize, zscore_normalize
 
 
 class TestMinMax:
@@ -41,6 +41,19 @@ class TestMinMax:
     def test_negative_values(self):
         out = minmax_normalize(np.array([-10.0, 0.0, 10.0]))
         assert np.allclose(out, [0.0, 0.5, 1.0])
+
+
+class TestNormalizeRows:
+    def test_rows_match_minmax_elementwise(self, rng):
+        """The vectorized Eq. 1 is bitwise the per-row one, edge rows too."""
+        rows = rng.normal(50, 10, size=(7, 40))
+        rows[1] = 7.5                      # constant
+        rows[2, 3] = np.nan                # non-finite extreme
+        rows[3, 0] = np.inf
+        rows[4] *= 1e12                    # extreme magnitude
+        rows[5] = np.arange(40.0) * -1e-12
+        expected = np.vstack([minmax_normalize(row) for row in rows])
+        np.testing.assert_array_equal(_normalize_rows(rows), expected)
 
 
 class TestZScore:

@@ -63,10 +63,8 @@ EXPECTED = {
     ],
     repro.engine: [
         "BatchedEngine",
-        "CacheStats",
         "KCDEngine",
         "ReferenceEngine",
-        "WindowCache",
         "make_engine",
         "validate_window",
     ],
